@@ -43,11 +43,13 @@ void BM_ProtocolSelect(benchmark::State& state, const char* name) {
     benchmark::DoNotOptimize(suite.protocol->select(view));
   }
 }
-BENCHMARK_CAPTURE(BM_ProtocolSelect, rng, "RNG")->Arg(19)->Arg(40);
-BENCHMARK_CAPTURE(BM_ProtocolSelect, mst, "MST")->Arg(19)->Arg(40);
-BENCHMARK_CAPTURE(BM_ProtocolSelect, spt2, "SPT-2")->Arg(19)->Arg(40);
-BENCHMARK_CAPTURE(BM_ProtocolSelect, yao, "Yao")->Arg(19)->Arg(40);
-BENCHMARK_CAPTURE(BM_ProtocolSelect, cbtc, "CBTC")->Arg(19)->Arg(40);
+// Arg(28) is the mean view degree of the paper's n = 100 sweep.
+BENCHMARK_CAPTURE(BM_ProtocolSelect, rng, "RNG")->Arg(19)->Arg(28)->Arg(40);
+BENCHMARK_CAPTURE(BM_ProtocolSelect, mst, "MST")->Arg(19)->Arg(28)->Arg(40);
+BENCHMARK_CAPTURE(BM_ProtocolSelect, spt2, "SPT-2")->Arg(19)->Arg(28)->Arg(40);
+BENCHMARK_CAPTURE(BM_ProtocolSelect, spt4, "SPT-4")->Arg(19)->Arg(28)->Arg(40);
+BENCHMARK_CAPTURE(BM_ProtocolSelect, yao, "Yao")->Arg(19)->Arg(28)->Arg(40);
+BENCHMARK_CAPTURE(BM_ProtocolSelect, cbtc, "CBTC")->Arg(19)->Arg(28)->Arg(40);
 
 void BM_ConsistentViewAssembly(benchmark::State& state) {
   const auto positions =

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -80,8 +81,26 @@ class LmstProtocol final : public Protocol {
 
  private:
   // Per-instance scratch (see Protocol::select's threading contract).
-  mutable std::vector<char> reachable_;
-  mutable std::vector<std::size_t> stack_;
+  mutable std::vector<CostKey> bottleneck_;
+  mutable std::vector<char> done_;
+};
+
+/// Condition 2 for every owner link at once: one Dijkstra from the owner
+/// over cost_max (see spt.cpp for the rule and why it is exact). Shared by
+/// SptProtocol and SearchRegionSptProtocol; owns their scratch, so it
+/// stops allocating once the largest view has been seen.
+class ShortestPathPass {
+ public:
+  /// Appends, in ascending order, every view index v >= 1 with
+  /// `region[v] != 0` whose direct link (0, v) survives condition 2 when
+  /// paths may only use the owner and region nodes. An empty `region`
+  /// means the whole view.
+  void append_children(const ViewGraph& view, std::span<const char> region,
+                       std::vector<std::size_t>& out);
+
+ private:
+  std::vector<double> dist_;
+  std::vector<char> done_;
 };
 
 /// Minimum-energy / shortest-path-tree protocol (condition 2): remove
@@ -99,8 +118,7 @@ class SptProtocol final : public Protocol {
  private:
   std::string display_name_;
   // Per-instance scratch (see Protocol::select's threading contract).
-  mutable std::vector<double> dist_;
-  mutable std::vector<std::pair<double, std::size_t>> heap_;
+  mutable ShortestPathPass pass_;
 };
 
 /// Minimum-energy protocol with a dynamic search region (Rodoplu-Meng /
@@ -125,8 +143,7 @@ class SearchRegionSptProtocol final : public Protocol {
   double initial_fraction_;
   // Per-instance scratch (see Protocol::select's threading contract).
   mutable std::vector<char> inside_;
-  mutable std::vector<double> dist_;
-  mutable std::vector<std::pair<double, std::size_t>> heap_;
+  mutable ShortestPathPass pass_;
 };
 
 /// Yao graph: divide the plane around the owner into k equal cones and keep

@@ -7,8 +7,6 @@
 // for: extending the framework to partial-information protocols.
 #include <algorithm>
 #include <cassert>
-#include <functional>
-#include <limits>
 
 #include "topology/protocol.hpp"
 
@@ -55,38 +53,9 @@ void SearchRegionSptProtocol::select(const ViewGraph& view,
     radius = std::min(2.0 * radius, max_distance);
   }
 
-  // SPT children of the owner within the region (Dijkstra over inside
-  // nodes only, pessimistic costs; direct link masked per target as in
-  // SptProtocol). Same push_heap/pop_heap min-heap as SptProtocol: the
-  // exact algorithm std::priority_queue specifies, so pop order — and
-  // thus determinism — is unchanged.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  dist_.resize(n);
-  for (std::size_t v = 1; v < n; ++v) {
-    if (!inside_[v]) continue;
-    const double direct = view.cost_min(0, v).value;
-    std::fill(dist_.begin(), dist_.end(), kInf);
-    dist_[0] = 0.0;
-    heap_.clear();
-    heap_.emplace_back(0.0, std::size_t{0});
-    while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      const auto [d, a] = heap_.back();
-      heap_.pop_back();
-      if (d > dist_[a] || d >= direct) continue;
-      for (std::size_t b = 1; b < n; ++b) {
-        if (b == a || !inside_[b] || !view.has_link(a, b)) continue;
-        if (a == 0 && b == v) continue;
-        const double candidate = d + view.cost_max(a, b).value;
-        if (candidate < dist_[b]) {
-          dist_[b] = candidate;
-          heap_.emplace_back(candidate, b);
-          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        }
-      }
-    }
-    if (!(direct > dist_[v])) out.push_back(v);
-  }
+  // SPT children of the owner within the region: condition 2 with paths
+  // restricted to the owner and inside nodes (pessimistic costs).
+  pass_.append_children(view, inside_, out);
 }
 
 }  // namespace mstc::topology

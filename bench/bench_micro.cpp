@@ -1,10 +1,12 @@
 // Micro-benchmarks of the per-node kernels (google-benchmark): protocol
-// selection over a realistic 1-hop view, view assembly, effective-topology
-// snapshots, and trace position queries. These bound the per-event cost of
-// the simulator and of a real implementation's Hello handler.
+// selection over a realistic 1-hop view, view assembly, the controller's
+// whole refresh, effective-topology snapshots, and trace position queries.
+// These bound the per-event cost of the simulator and of a real
+// implementation's Hello handler.
 #include <benchmark/benchmark.h>
 
 #include "core/consistency.hpp"
+#include "core/controller.hpp"
 #include "core/effective.hpp"
 #include "metrics/snapshot.hpp"
 #include "mobility/models.hpp"
@@ -84,6 +86,39 @@ void BM_WeakViewAssembly(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WeakViewAssembly)->Arg(19)->Arg(40);
+
+// The production refresh path: NodeController::refresh_selection assembles
+// into its thread's view workspace, selects and applies, cycling over 100
+// controllers whose stores each hold state.range(0) neighbours (so the
+// workspace carries another owner's view into every refresh, as in a run).
+// The recompute cache is off: every refresh assembles and selects.
+void BM_RefreshSelection(benchmark::State& state, const char* name) {
+  const auto suite = topology::make_protocol(name);
+  const std::size_t degree = static_cast<std::size_t>(state.range(0));
+  core::ControllerConfig config;
+  config.view_expiry = 1e9;
+  config.recompute_cache = false;
+  std::vector<core::NodeController> nodes;
+  nodes.reserve(100);
+  for (std::size_t u = 0; u < 100; ++u) {
+    nodes.emplace_back(u, *suite.protocol, *suite.cost, config);
+    const auto positions = neighborhood(degree + 1, 1000 + u);
+    for (std::size_t i = 1; i < positions.size(); ++i) {
+      nodes.back().on_hello_receive({100 + i, {positions[i], 1, 0.0}}, 0.0);
+    }
+    nodes.back().on_hello_send_record(0.0, positions[0], 1);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    nodes[next].refresh_selection(1.0);
+    benchmark::DoNotOptimize(nodes[next].logical_neighbors().data());
+    benchmark::ClobberMemory();
+    next = next + 1 == nodes.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK_CAPTURE(BM_RefreshSelection, rng, "RNG")->Arg(28);
+BENCHMARK_CAPTURE(BM_RefreshSelection, mst, "MST")->Arg(28);
+BENCHMARK_CAPTURE(BM_RefreshSelection, spt4, "SPT-4")->Arg(28);
 
 void BM_EffectiveSnapshot(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -9,15 +9,6 @@ namespace mstc::core {
 
 namespace {
 
-/// Assembles a ViewGraph from one chosen position list per view member
-/// (owner first). Owner-neighbor links always exist (the neighbor was
-/// heard); neighbor-neighbor links exist only when their viewed distance
-/// can be certified <= normal_range (max over version combinations).
-///
-/// Reads only the `.position` of each record — together with the member
-/// ids this makes the assembled view (and, by protocol purity, the
-/// selection) an exact function of (ids, position bits, normal_range,
-/// cost), which is what the controller's recompute cache fingerprints.
 /// Conservative squared-distance rejection threshold for the pre-filter
 /// below. fl(dx*dx + dy*dy) carries at most ~3 ulp (~7e-16) relative error
 /// and std::hypot at most a few ulps, so the 1e-12 relative margin exceeds
@@ -28,6 +19,17 @@ namespace {
 /// margin fall through to the exact check, so results are byte-identical.
 constexpr double kRejectMargin = 1.0 + 1e-12;
 
+/// Assembles a ViewGraph from one chosen position list per view member
+/// (owner first). Owner-neighbor links always exist (the neighbor was
+/// heard); neighbor-neighbor links exist only when their viewed distance
+/// can be certified <= normal_range (max over version combinations).
+///
+/// Reads only the `.position` of each record — together with the member
+/// ids this makes the assembled view (and, by protocol purity, the
+/// selection) an exact function of (ids, position bits, normal_range,
+/// cost), which is what the controller's recompute cache fingerprints.
+/// Every id, representative and owner-row link is rewritten, so `out` may
+/// hold any earlier view, of this owner or another (ViewGraph::reset).
 // mstc:hot — runs once per selection refresh over ~density members
 void assemble(
     NodeId owner, std::span<const NodeId> ids,
@@ -47,9 +49,9 @@ void assemble(
     for (std::size_t j = i + 1; j < ids.size(); ++j) {
       if (single_i && versions[j].size() == 1) {
         // Point-view fast path (latest / versioned views): one version per
-        // member means d_min == d_max, so the distance, the cost-model call
-        // and the CostKey are each computed once — bit-identical to the
-        // general loop, which would evaluate them twice on equal inputs.
+        // member means d_min == d_max, so the distance and the cost-model
+        // call are each computed once — bit-identical to the general
+        // loop, which would evaluate them twice on equal inputs.
         const geom::Vec2 a = versions[i].front().position;
         const geom::Vec2 b = versions[j].front().position;
         // Squared-distance pre-filter: skips the libm hypot for the
@@ -59,9 +61,8 @@ void assemble(
         if (i != 0 && geom::distance_sq(a, b) > reject_sq) continue;
         const double d = geom::distance(a, b);
         if (i != 0 && d > normal_range) continue;
-        const topology::CostKey key =
-            topology::CostKey::make(cost.cost(d), ids[i], ids[j]);
-        out.set_link(i, j, d, d, key, key);
+        const double c = cost.cost(d);
+        out.set_link(i, j, d, d, c, c);
         continue;
       }
       // Interval views (weak consistency): pre-filter on the cheap
@@ -89,9 +90,7 @@ void assemble(
       // Owner-neighbor links exist by virtue of the received Hello;
       // neighbor-neighbor links must certainly be within range.
       if (i != 0 && d_max > normal_range) continue;
-      out.set_link(i, j, d_min, d_max,
-                   topology::CostKey::make(cost.cost(d_min), ids[i], ids[j]),
-                   topology::CostKey::make(cost.cost(d_max), ids[i], ids[j]));
+      out.set_link(i, j, d_min, d_max, cost.cost(d_min), cost.cost(d_max));
     }
   }
 }

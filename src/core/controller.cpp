@@ -20,6 +20,20 @@ void fold_position(const topology::VersionedPosition& record,
   key.push_back(std::bit_cast<std::uint64_t>(record.position.y));
 }
 
+// The buffers one refresh assembles, selects and applies in. A view lives
+// only for one refresh, so every controller a thread drives shares that
+// thread's workspace, kept hot in cache by the previous refresh. Sharing is
+// sound because a refresh is not re-entrant, each one rebuilds the whole
+// view (ViewGraph::reset leaves only stale entries that has_link guards,
+// whichever owner wrote them), and in both the serial and the sharded
+// kernel one thread drives a given controller at a time.
+struct ViewWorkspace {
+  ViewScratch scratch;
+  topology::ViewGraph view;
+  std::vector<std::size_t> chosen;
+};
+thread_local ViewWorkspace t_workspace;
+
 }  // namespace
 
 NodeController::NodeController(NodeId id, const topology::Protocol& protocol,
@@ -86,8 +100,8 @@ void NodeController::on_hello_receive(const HelloRecord& hello, double now) {
   }
 }
 
-// mstc:hot — runs once per selection refresh; all view state lives in
-// member scratch (view_scratch_, cache_key_scratch_)
+// mstc:hot — runs once per selection refresh; view state lives in the
+// thread's workspace (t_workspace), the cache key in cache_key_scratch_
 void NodeController::refresh_selection(double now) {
   const obs::ScopedTimer timer(
       probe_ != nullptr ? probe_->profiler() : nullptr,
@@ -108,13 +122,14 @@ void NodeController::refresh_selection(double now) {
     }
     note_cache_probe(false);
   }
+  ViewWorkspace& ws = t_workspace;
   if (weak) {
-    build_weak_view(store_, config_.normal_range, *cost_, view_scratch_, view_);
+    build_weak_view(store_, config_.normal_range, *cost_, ws.scratch, ws.view);
   } else {
-    build_latest_view(store_, config_.normal_range, *cost_, view_scratch_,
-                      view_);
+    build_latest_view(store_, config_.normal_range, *cost_, ws.scratch,
+                      ws.view);
   }
-  apply_selection(view_, now);
+  apply_selection(ws.view, ws.chosen, now);
   if (cached) {
     cache_key_.swap(cache_key_scratch_);
     cache_valid_ = true;
@@ -145,11 +160,12 @@ void NodeController::refresh_selection_versioned(double now,
     }
     note_cache_probe(false);
   }
+  ViewWorkspace& ws = t_workspace;
   if (!build_versioned_view(store_, version, config_.normal_range, *cost_,
-                            view_scratch_, view_)) {
+                            ws.scratch, ws.view)) {
     return;  // unreachable: the owner check above already passed
   }
-  apply_selection(view_, now);
+  apply_selection(ws.view, ws.chosen, now);
   if (cached) {
     cache_key_.swap(cache_key_scratch_);
     cache_valid_ = true;
@@ -222,6 +238,7 @@ void NodeController::build_cache_key(std::uint64_t tag, std::uint64_t version,
 }
 
 void NodeController::apply_selection(const topology::ViewGraph& view,
+                                     std::vector<std::size_t>& chosen,
                                      double now) {
   const bool observing = probe_ != nullptr && probe_->counting();
   double previous_extended = 0.0;
@@ -234,12 +251,12 @@ void NodeController::apply_selection(const topology::ViewGraph& view,
     const obs::ScopedTimer timer(
         probe_ != nullptr ? probe_->profiler() : nullptr,
         obs::Category::kProtocolSelect);
-    protocol_->select(view, chosen_);
+    protocol_->select(view, chosen);
   }
   logical_.clear();
-  logical_.reserve(chosen_.size());
+  logical_.reserve(chosen.size());
   actual_range_ = 0.0;
-  for (std::size_t index : chosen_) {
+  for (std::size_t index : chosen) {
     logical_.push_back(view.id(index));
     // Cover every stored position of the neighbor (conservative under
     // interval views; equals the viewed distance for point views). The

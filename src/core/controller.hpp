@@ -145,7 +145,8 @@ class NodeController {
   [[nodiscard]] const LocalViewStore& store() const noexcept { return store_; }
 
  private:
-  void apply_selection(const topology::ViewGraph& view, double now);
+  void apply_selection(const topology::ViewGraph& view,
+                       std::vector<std::size_t>& chosen, double now);
 
   /// Fingerprints the selection's exact inputs: a tag for the view kind,
   /// the pinned version (versioned views), and per member the id and raw
@@ -167,11 +168,10 @@ class NodeController {
   const obs::Probe* probe_ = nullptr;
   // Scratch for link-removal diffs; allocated only while a probe counts.
   std::vector<NodeId> previous_logical_;
-  // Steady-state refreshes run allocation-free through these reusable
-  // buffers (view assembly scratch, assembled view, protocol output).
-  ViewScratch view_scratch_;
-  topology::ViewGraph view_;
-  std::vector<std::size_t> chosen_;
+  // No view state lives here: a view is needed only during one refresh, so
+  // every refresh assembles, selects and applies in its thread's workspace
+  // (controller.cpp), which stops allocating once that thread has seen its
+  // largest neighborhood.
   // Recompute cache: fingerprint of the last applied selection's inputs
   // (see build_cache_key). The scratch key is built first and swapped in
   // only after a recompute actually runs.

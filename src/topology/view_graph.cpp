@@ -23,7 +23,7 @@ void ViewGraph::reset(NodeId owner_id, std::size_t neighbor_count) {
 
 // mstc:hot — runs once per certified link per refresh
 void ViewGraph::set_link(std::size_t i, std::size_t j, double dist_min,
-                         double dist_max, CostKey c_min, CostKey c_max) {
+                         double dist_max, double c_min, double c_max) {
   assert(i != j);
   assert(dist_min <= dist_max);
   assert(c_min <= c_max);
@@ -68,9 +68,8 @@ ViewGraph make_consistent_view(std::span<const geom::Vec2> positions,
       const double d =
           geom::distance(positions[members[a]], positions[members[b]]);
       if (d <= normal_range) {
-        const CostKey key =
-            CostKey::make(cost.cost(d), ids[members[a]], ids[members[b]]);
-        view.set_link(a, b, d, d, key, key);
+        const double c = cost.cost(d);
+        view.set_link(a, b, d, d, c, c);
       }
     }
   }

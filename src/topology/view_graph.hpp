@@ -34,9 +34,12 @@ class ViewGraph {
   /// Re-targets the graph to a new owner/size without shrinking capacity:
   /// repeated reset/assemble cycles on one instance stop allocating once
   /// the largest neighborhood has been seen. Only the link-existence flags
-  /// are cleared — every cost/distance read is either on the owner row
-  /// (always rewritten by view assembly) or guarded by has_link(), so
-  /// stale entries are unreachable.
+  /// are cleared; ids, representatives, costs and distances keep whatever
+  /// the previous view wrote, and that view may have belonged to another
+  /// node (NodeController assembles every refresh on its thread into one
+  /// shared instance). Such stale entries are unreachable: the assembler
+  /// rewrites every id and representative and the whole owner row, and
+  /// every other cost/distance read is guarded by has_link().
   void reset(NodeId owner_id, std::size_t neighbor_count);
 
   [[nodiscard]] std::size_t node_count() const noexcept { return ids_.size(); }
@@ -61,18 +64,20 @@ class ViewGraph {
   }
 
   /// Declares a link between view indices i and j with distance interval
-  /// [d_min, d_max] and cost interval [c_min, c_max].
+  /// [d_min, d_max] and cost-value interval [c_min, c_max]. Only the values
+  /// are stored: the tie-break of a link's CostKey is always the two view
+  /// ids, so cost_min/cost_max build the key on read.
   void set_link(std::size_t i, std::size_t j, double distance_min,
-                double distance_max, CostKey cost_min, CostKey cost_max);
+                double distance_max, double cost_min, double cost_max);
 
   [[nodiscard]] bool has_link(std::size_t i, std::size_t j) const noexcept {
     return exists_[flat(i, j)];
   }
   [[nodiscard]] CostKey cost_min(std::size_t i, std::size_t j) const noexcept {
-    return cost_min_[flat(i, j)];
+    return CostKey::make(cost_min_[flat(i, j)], ids_[i], ids_[j]);
   }
   [[nodiscard]] CostKey cost_max(std::size_t i, std::size_t j) const noexcept {
-    return cost_max_[flat(i, j)];
+    return CostKey::make(cost_max_[flat(i, j)], ids_[i], ids_[j]);
   }
   [[nodiscard]] double distance_min(std::size_t i,
                                     std::size_t j) const noexcept {
@@ -91,8 +96,8 @@ class ViewGraph {
   std::vector<NodeId> ids_;
   std::vector<geom::Vec2> representatives_;
   std::vector<char> exists_;
-  std::vector<CostKey> cost_min_;
-  std::vector<CostKey> cost_max_;
+  std::vector<double> cost_min_;
+  std::vector<double> cost_max_;
   std::vector<double> distance_min_;
   std::vector<double> distance_max_;
 };

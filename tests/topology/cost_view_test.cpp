@@ -70,16 +70,40 @@ TEST(ViewGraph, SetLinkIsSymmetric) {
   ViewGraph view(0, 2);
   view.set_id(1, 10);
   view.set_id(2, 20);
-  const CostKey lo = CostKey::make(3.0, 0, 10);
-  const CostKey hi = CostKey::make(5.0, 0, 10);
-  view.set_link(0, 1, 3.0, 5.0, lo, hi);
+  view.set_link(0, 1, 3.0, 5.0, 9.0, 25.0);
   EXPECT_TRUE(view.has_link(0, 1));
   EXPECT_TRUE(view.has_link(1, 0));
   EXPECT_FALSE(view.has_link(0, 2));
-  EXPECT_EQ(view.cost_min(1, 0), lo);
-  EXPECT_EQ(view.cost_max(0, 1), hi);
+  EXPECT_EQ(view.cost_min(1, 0), CostKey::make(9.0, 0, 10));
+  EXPECT_EQ(view.cost_max(0, 1), CostKey::make(25.0, 0, 10));
   EXPECT_DOUBLE_EQ(view.distance_min(1, 0), 3.0);
   EXPECT_DOUBLE_EQ(view.distance_max(0, 1), 5.0);
+}
+
+// Costs are stored as values; each read builds the key's tie-break from
+// the two view ids, in either index order, whatever order the ids are in.
+TEST(ViewGraph, CostKeysComeFromViewIds) {
+  ViewGraph view(42, 2);
+  view.set_id(1, 7);
+  view.set_id(2, 19);
+  view.set_link(0, 1, 1.0, 2.0, 1.0, 4.0);
+  view.set_link(2, 1, 3.0, 3.0, 9.0, 9.0);
+  view.set_link(0, 2, 5.0, 6.0, 25.0, 36.0);
+  const auto check = [&](std::size_t i, std::size_t j, double lo, double hi) {
+    SCOPED_TRACE(testing::Message() << "link (" << i << ", " << j << ")");
+    const CostKey key_lo = CostKey::make(lo, view.id(i), view.id(j));
+    const CostKey key_hi = CostKey::make(hi, view.id(i), view.id(j));
+    EXPECT_EQ(view.cost_min(i, j), key_lo);
+    EXPECT_EQ(view.cost_min(j, i), key_lo);
+    EXPECT_EQ(view.cost_max(i, j), key_hi);
+    EXPECT_EQ(view.cost_max(j, i), key_hi);
+  };
+  check(0, 1, 1.0, 4.0);
+  check(1, 2, 9.0, 9.0);
+  check(0, 2, 25.0, 36.0);
+  EXPECT_EQ(view.cost_min(0, 1), CostKey::make(1.0, 7, 42));
+  EXPECT_EQ(view.cost_max(2, 1), CostKey::make(9.0, 7, 19));
+  EXPECT_EQ(view.cost_max(2, 0), (CostKey{36.0, 19, 42}));
 }
 
 TEST(MakeConsistentView, SelectsNeighborsWithinRange) {

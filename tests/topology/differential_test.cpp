@@ -9,6 +9,11 @@
 // link costs and exact sum ties (integer lattices), coincident nodes,
 // disconnected views, and distance / energy costs with and without a
 // per-hop overhead.
+//
+// The same binary pins what view reuse rests on: production assembly into
+// one ViewGraph reused across owners selects exactly what a fresh view
+// selects, and controllers refreshing through their thread's shared view
+// workspace stop allocating once it has seen the largest view.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +28,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/consistency.hpp"
+#include "core/controller.hpp"
 #include "topology/protocol.hpp"
 #include "util/prng.hpp"
 
@@ -40,8 +47,12 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: once inlined, GCC pairs the free() with the operator
+// new at the allocation site and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mstc::topology {
 namespace {
@@ -255,9 +266,7 @@ ViewGraph interval_view(Layout layout, std::size_t neighbors, double drop,
       if (a != 0 && (d_max > kRange || rng.bernoulli(drop))) {
         continue;
       }
-      view.set_link(a, b, d_min, d_max,
-                    CostKey::make(cost.cost(d_min), ids[a], ids[b]),
-                    CostKey::make(cost.cost(d_max), ids[a], ids[b]));
+      view.set_link(a, b, d_min, d_max, cost.cost(d_min), cost.cost(d_max));
     }
   }
   return view;
@@ -408,6 +417,142 @@ TEST(TopologyDifferential, WarmSelectionDoesNotAllocate) {
   EXPECT_EQ(warm_then_count(spt, big, small), 0u);
   EXPECT_EQ(warm_then_count(spt_r, big, small), 0u);
   EXPECT_EQ(warm_then_count(lmst, big_mst, small_mst), 0u);
+}
+
+// ---- Views reused across owners ------------------------------------------
+
+// A store for ids[0] holding `history` Hellos from every member (owner
+// included), each version drifted up to 20 m from `positions`.
+core::LocalViewStore filled_store(const std::vector<Vec2>& positions,
+                                  const std::vector<NodeId>& ids,
+                                  std::size_t history, util::Xoshiro256& rng) {
+  core::LocalViewStore store(ids[0], history, 1e9);
+  for (std::uint64_t version = 1; version <= history; ++version) {
+    const double sent = static_cast<double>(version);
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      const Vec2 drift{rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)};
+      store.record({ids[i], {positions[i] + drift, version, sent}});
+    }
+  }
+  return store;
+}
+
+// Everything a protocol may read: ids, representatives, link flags, and
+// costs and distances wherever a link exists (which covers the owner row).
+void expect_same_view(const ViewGraph& reused, const ViewGraph& fresh) {
+  ASSERT_EQ(reused.node_count(), fresh.node_count());
+  for (std::size_t i = 0; i < fresh.node_count(); ++i) {
+    ASSERT_EQ(reused.id(i), fresh.id(i));
+    ASSERT_EQ(reused.representative(i), fresh.representative(i));
+    for (std::size_t j = 0; j < fresh.node_count(); ++j) {
+      ASSERT_EQ(reused.has_link(i, j), fresh.has_link(i, j)) << i << "," << j;
+      if (!fresh.has_link(i, j)) continue;
+      ASSERT_EQ(reused.cost_min(i, j), fresh.cost_min(i, j));
+      ASSERT_EQ(reused.cost_max(i, j), fresh.cost_max(i, j));
+      ASSERT_EQ(reused.distance_min(i, j), fresh.distance_min(i, j));
+      ASSERT_EQ(reused.distance_max(i, j), fresh.distance_max(i, j));
+    }
+  }
+}
+
+// ViewGraph::reset clears only the link flags, so a reused view still holds
+// whatever a larger view of another owner wrote. Assembly must make all of
+// it unreachable: every protocol selects on the reused view exactly what it
+// selects on a freshly constructed one, for point (latest) and interval
+// (weak) views, growing and shrinking, under distance and energy costs.
+TEST(TopologyDifferential, ReusedViewSelectsLikeAFreshOne) {
+  util::Xoshiro256 rng(1205);
+  std::vector<std::pair<std::string, ProtocolSuite>> suites;
+  for (const std::string& name : protocol_names()) {
+    suites.emplace_back(name, make_protocol(name));
+  }
+  const DistanceCost distance;
+  const EnergyCost free_space(2.0);
+  const EnergyCost two_ray(4.0);
+  core::ViewScratch scratch;
+  ViewGraph reused;
+  std::vector<std::size_t> chosen;
+  std::size_t views = 0;
+  const CostModel* const costs[] = {&distance, &free_space, &two_ray};
+  for (const CostModel* cost : costs) {
+    for (const std::size_t neighbors : {60u, 0u, 1u, 35u, 60u}) {
+      for (const std::size_t history : {1u, 3u}) {
+        const auto positions = positions_for(Layout::kUniform, neighbors, rng);
+        const auto ids = shuffled_ids(positions.size(), rng);
+        const auto store = filled_store(positions, ids, history, rng);
+        ViewGraph fresh;
+        if (history == 1) {  // point view
+          fresh = core::build_latest_view(store, kRange, *cost);
+          core::build_latest_view(store, kRange, *cost, scratch, reused);
+        } else {  // interval view
+          fresh = core::build_weak_view(store, kRange, *cost);
+          core::build_weak_view(store, kRange, *cost, scratch, reused);
+        }
+        SCOPED_TRACE(testing::Message() << "view " << views);
+        expect_same_view(reused, fresh);
+        for (const auto& [name, suite] : suites) {
+          suite.protocol->select(reused, chosen);
+          EXPECT_EQ(chosen, suite.protocol->select(fresh)) << name;
+        }
+        ++views;
+      }
+    }
+  }
+}
+
+// Every controller a thread drives refreshes in that thread's one view
+// workspace. Once a pass has sized it for the largest view (and each
+// controller's own logical set), refreshes allocate nothing, in any order.
+TEST(TopologyDifferential, WarmRefreshDoesNotAllocate) {
+  constexpr std::size_t kNodes = 60;
+  util::Xoshiro256 rng(1206);
+  std::vector<Vec2> positions(kNodes);
+  for (Vec2& p : positions) {
+    p = {rng.uniform(0.0, 600.0), rng.uniform(0.0, 600.0)};
+  }
+  using Mode = core::ConsistencyMode;
+  for (const char* name : {"RNG", "MST", "SPT-4", "SPT-2"}) {
+    for (const Mode mode : {Mode::kLatest, Mode::kWeak}) {
+      const ProtocolSuite suite = make_protocol(name);
+      core::ControllerConfig config;
+      config.mode = mode;
+      config.history_limit = mode == Mode::kWeak ? 3 : 1;
+      config.view_expiry = 1e9;
+      config.recompute_cache = false;  // every refresh assembles and selects
+      std::vector<core::NodeController> nodes;
+      nodes.reserve(kNodes);
+      for (std::size_t u = 0; u < kNodes; ++u) {
+        nodes.emplace_back(u, *suite.protocol, *suite.cost, config);
+      }
+      // Three Hello rounds from drifting positions fill every store.
+      for (std::uint64_t version = 1; version <= 3; ++version) {
+        const double now = static_cast<double>(version);
+        for (std::size_t u = 0; u < kNodes; ++u) {
+          const Vec2 drift{rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)};
+          const Vec2 p = positions[u] + drift;
+          const auto hello = nodes[u].on_hello_send_record(now, p, version);
+          for (std::size_t v = 0; v < kNodes; ++v) {
+            if (v != u && geom::distance(p, positions[v]) <= kRange) {
+              nodes[v].on_hello_receive(hello, now);
+            }
+          }
+        }
+      }
+      std::size_t largest = 0;
+      for (const core::NodeController& node : nodes) {
+        largest = std::max(largest, node.store().neighbor_count());
+      }
+      for (core::NodeController& node : nodes) node.refresh_selection(4.0);
+      const std::size_t allocations = allocations_during([&] {
+        for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+          it->refresh_selection(4.0);
+        }
+        for (core::NodeController& node : nodes) node.refresh_selection(4.0);
+      });
+      EXPECT_EQ(allocations, 0u) << name << ", " << core::to_string(mode);
+      EXPECT_GE(largest, 25u);  // the views are paper-sized, not trivial
+    }
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -134,7 +135,8 @@ ScalePoint run_point(std::size_t nodes) {
       {point.side, point.side}, kSpeed);
   const auto traces = mstc::mobility::generate_traces(
       *model, nodes, kDuration, mstc::util::derive_seed(kSeed, nodes));
-  point.brute = run_mode(traces, {.brute_force = true});
+  point.brute = run_mode(
+      traces, {.grid_min_nodes = std::numeric_limits<std::size_t>::max()});
   point.grid = run_mode(traces, {.grid_min_nodes = 0});  // index forced on
   point.auto_mode = run_mode(traces, {});
   return point;

@@ -35,7 +35,7 @@ struct ControllerConfig {
   /// and position bits, post-expiry) match the previous refresh. Sound
   /// because view assembly reads only those inputs and protocols are pure;
   /// skips are counted as topology_recompute_skips. Disable to measure the
-  /// uncached path (MSTC_NO_RECOMPUTE_CACHE=1 at the scenario level).
+  /// uncached path (ScenarioConfig::recompute_cache = false).
   bool recompute_cache = true;
   /// Cache self-bypass for workloads fingerprinting cannot help (mobile
   /// fleets change some position bits on almost every refresh): once a

@@ -149,7 +149,7 @@ std::size_t count_within_range(const double* xs, const double* ys,
          count_within_range_scalar(xs + i, ys + i, count - i, origin, range_sq);
 }
 
-#else  // portable build (MSTC_FILTER_SCALAR or no SSE2)
+#else  // portable build (-DMSTC_FILTER_SCALAR=ON or no SSE2)
 
 void filter_within_range(const double* xs, const double* ys,
                          const std::size_t* ids, std::size_t count,

@@ -17,8 +17,9 @@
 // remainder falls through to literally that scalar expression. The wide
 // path uses explicit mul+add intrinsics, never FMA contraction, so a
 // build with -mavx2 (and without -mfma) accepts exactly the same
-// candidates as the portable loop; Determinism.ScalarFilterMatchesWide
-// and tests/geom/filter_test.cpp byte-compare the two.
+// candidates as the portable loop; tests/geom/filter_test.cpp
+// byte-compares the two, and the scalar-forced CI build runs the medium and
+// snapshot grid suites against the brute scan on the portable loop.
 //
 // Backend selection is at configure time: AVX2 when the TU is compiled
 // with -mavx2, else SSE2 (x86-64 baseline), else the portable scalar

@@ -87,8 +87,7 @@ SnapshotStats measure_snapshot(std::span<const core::NodeController> controllers
   // brute-force scan exactly.
   scratch.components_.reset(n);
   graph::SpatialGrid* grid =
-      (!config.brute_force && n >= config.grid_min_nodes) ? &scratch.grid_
-                                                          : nullptr;
+      n >= config.grid_min_nodes ? &scratch.grid_ : nullptr;
   double range_total = 0.0;
   std::size_t physical_total = 0;
   std::uint64_t links_examined = 0;
@@ -112,14 +111,8 @@ SnapshotStats measure_snapshot(std::span<const core::NodeController> controllers
           scratch.ys_[i] = positions[candidates[i]].y;
         }
         assert(std::binary_search(candidates.begin(), candidates.end(), u));
-        const std::size_t within =
-            config.scalar_filter
-                ? geom::count_within_range_scalar(scratch.xs_.data(),
-                                                  scratch.ys_.data(), m,
-                                                  positions[u], range_sq)
-                : geom::count_within_range(scratch.xs_.data(),
-                                           scratch.ys_.data(), m, positions[u],
-                                           range_sq);
+        const std::size_t within = geom::count_within_range(
+            scratch.xs_.data(), scratch.ys_.data(), m, positions[u], range_sq);
         physical_total += within - 1;
         for (const std::size_t v : candidates) {
           if (v <= u) continue;

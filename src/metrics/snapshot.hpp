@@ -39,20 +39,14 @@ struct SnapshotStats {
   double mean_physical_degree = 0.0;
 };
 
-/// Tuning and escape hatch for the grid-backed measurement path. Both
-/// paths produce byte-identical SnapshotStats; brute_force exists for A/B
-/// benchmarking and incident triage (MSTC_SNAPSHOT_BRUTE=1 at the
-/// scenario level).
+/// Tuning for the grid-backed measurement path.
 struct SnapshotConfig {
-  bool brute_force = false;
   /// Fleets below this size stay on the brute-force scan (grid build
   /// overhead dominates under the crossover, mirroring the medium's
-  /// grid_min_nodes threshold).
+  /// grid_min_nodes threshold). SIZE_MAX forces the brute scan, the
+  /// reference bench_snapshot and the differential suite compare against;
+  /// both paths produce byte-identical SnapshotStats.
   std::size_t grid_min_nodes = 150;
-  /// Escape hatch: run the physical-degree count through the portable
-  /// scalar filter loop instead of the SIMD block kernel (geom/filter.hpp).
-  /// Byte-identical either way; mirrors sim::Medium::Config::scalar_filter.
-  bool scalar_filter = false;
 };
 
 /// Reusable measurement buffers: spatial grid, candidate list, union-find

@@ -23,8 +23,8 @@ namespace mstc::obs {
 /// the query (like kTraceGen inside kSetup), kProtocolSelect nests inside
 /// the refresh that kViewAssembly times, and kDelivery is attributed by
 /// the serial kernel's batched fan-out dispatch (one timed scope per
-/// broadcast; deferred sharded drains and the unbatched escape hatch stay
-/// unattributed, like every deferred handler).
+/// broadcast; deferred sharded drains stay unattributed, like every
+/// deferred handler).
 enum class Category : std::size_t {
   kSetup,      ///< scenario construction (traces, controllers, wiring)
   kTraceGen,   ///< mobility trace acquisition (subset of kSetup's span)

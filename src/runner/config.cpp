@@ -1,8 +1,28 @@
 #include "runner/config.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "util/options.hpp"
 
 namespace mstc::runner {
+
+namespace {
+
+/// Reads a count from the environment. A negative value is a configuration
+/// error, not a huge unsigned count.
+std::size_t env_count(const char* name, std::size_t fallback) {
+  const std::int64_t value =
+      util::env_or(name, static_cast<std::int64_t>(fallback));
+  if (value < 0) {
+    throw std::invalid_argument(std::string(name) +
+                                " must not be negative, got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
+}  // namespace
 
 ScenarioConfig paper_scale(ScenarioConfig base) {
   base.duration = 100.0;
@@ -14,29 +34,17 @@ ScenarioConfig paper_scale(ScenarioConfig base) {
 ScenarioConfig apply_env_overrides(ScenarioConfig base) {
   if (util::env_flag("MSTC_PAPER_SCALE")) base = paper_scale(base);
   base.duration = util::env_or("MSTC_SIM_TIME", base.duration);
-  base.node_count = static_cast<std::size_t>(util::env_or(
-      "MSTC_NODES", static_cast<std::int64_t>(base.node_count)));
+  base.node_count = env_count("MSTC_NODES", base.node_count);
   base.flood_rate = util::env_or("MSTC_FLOOD_RATE", base.flood_rate);
   base.snapshot_rate = util::env_or("MSTC_SNAPSHOT_RATE", base.snapshot_rate);
   base.warmup = util::env_or("MSTC_WARMUP", base.warmup);
-  if (util::env_flag("MSTC_MEDIUM_BRUTE")) base.medium_brute_force = true;
-  if (util::env_flag("MSTC_NO_RECOMPUTE_CACHE")) base.recompute_cache = false;
-  base.recompute_cache_min_skip_rate = util::env_or(
-      "MSTC_RECOMPUTE_MIN_SKIP_RATE", base.recompute_cache_min_skip_rate);
-  if (util::env_flag("MSTC_SNAPSHOT_BRUTE")) base.snapshot_brute_force = true;
-  if (util::env_flag("MSTC_NO_TRACE_CACHE")) base.trace_cache = false;
-  if (util::env_flag("MSTC_NO_BATCH_DELIVERY")) base.batch_delivery = false;
-  if (util::env_flag("MSTC_FILTER_SCALAR")) base.scalar_filter = true;
-  base.shards = static_cast<std::size_t>(
-      util::env_or("MSTC_SHARDS", static_cast<std::int64_t>(base.shards)));
-  base.queue = util::env_or("MSTC_EVENT_QUEUE", base.queue);
+  base.shards = env_count("MSTC_SHARDS", base.shards);
   return base;
 }
 
 std::size_t sweep_repeats(std::size_t fallback) {
   if (util::env_flag("MSTC_PAPER_SCALE")) fallback = 20;
-  return static_cast<std::size_t>(util::env_or(
-      "MSTC_REPEATS", static_cast<std::int64_t>(fallback)));
+  return env_count("MSTC_REPEATS", fallback);
 }
 
 }  // namespace mstc::runner

@@ -3,7 +3,7 @@
 // Defaults mirror the paper's Section 5.1 setup (100 nodes, 900x900 m^2,
 // 250 m normal range, random waypoint with zero pause, ~1 s jittered Hello
 // interval) with CI-scale duration/rates; see paper_scale() for the exact
-// paper parameters and env_scenario_overrides() for MSTC_* escalation.
+// paper parameters and apply_env_overrides() for MSTC_* escalation.
 #pragma once
 
 #include <cstdint>
@@ -42,20 +42,18 @@ struct ScenarioConfig {
   /// "ideal" (the paper's collision-free MAC) or "csma" (carrier sensing
   /// + collision loss; the paper's future-work realistic MAC).
   std::string mac = "ideal";
-  /// Serve medium neighbor queries with the brute-force O(n) scan instead
-  /// of the spatial index. Results are bit-identical either way (the
-  /// determinism suite asserts it); kept for differential testing and as
-  /// the bench_scale baseline. Env: MSTC_MEDIUM_BRUTE=1.
-  bool medium_brute_force = false;
-  /// Fleets below this size serve medium queries with the brute scan even
-  /// when the index is enabled — the index only breaks even above ~150
-  /// nodes (see docs/PERFORMANCE.md). 0 forces the index for any fleet.
+
+  // --- execution: wall clock and memory only, never results ---
+  /// Fleets below this size serve medium queries and snapshots with the
+  /// brute scan — the spatial index only breaks even above ~150 nodes (see
+  /// docs/PERFORMANCE.md). 0 forces the index for any fleet; SIZE_MAX
+  /// forces the brute scan, the reference the differential suites compare
+  /// the index against. Byte-identical on both sides of the threshold.
   std::size_t medium_grid_min_nodes = 150;
   /// Skip Protocol::select when a node's assembled view is bit-identical
   /// to its previous refresh (the protocol is a pure function of the view,
   /// so the selection is provably unchanged; the determinism suite
-  /// byte-compares cache-on vs cache-off sweeps). Kept as an escape hatch
-  /// mirroring medium_brute_force. Env: MSTC_NO_RECOMPUTE_CACHE=1.
+  /// byte-compares cache-on vs cache-off sweeps).
   bool recompute_cache = true;
   /// Recompute-cache self-bypass threshold (see
   /// core::ControllerConfig::recompute_cache_min_skip_rate): when the
@@ -63,35 +61,14 @@ struct ScenarioConfig {
   /// cache stops probing for the rest of the run. The default engages on
   /// mobile fleets (waypoint skip rates are ~1%, below 2%) and leaves
   /// static fleets (~90% skips) fully cached. 0 disables the bypass;
-  /// byte-identical either way. Env: MSTC_RECOMPUTE_MIN_SKIP_RATE.
+  /// byte-identical either way.
   double recompute_cache_min_skip_rate = 0.02;
-  /// Measure snapshots with the brute-force O(n^2) pair scan instead of
-  /// the grid-backed fast path. Byte-identical either way (differential
-  /// suite tests/metrics/snapshot_grid_test.cpp); kept for A/B
-  /// benchmarking (bench_snapshot baseline). Env: MSTC_SNAPSHOT_BRUTE=1.
-  bool snapshot_brute_force = false;
   /// Serve the mobility trace set from the process-wide
   /// mobility::TraceCache (sweep points differing only in protocol / mode
   /// / buffer share one immutable set). Generation is pure in the cache
   /// key, so a hit is bit-identical to a regeneration — pinned by
-  /// Determinism.TraceCacheSharedMatchesPerReplication. Env escape hatch:
-  /// MSTC_NO_TRACE_CACHE=1.
+  /// Determinism.TraceCacheSharedMatchesPerReplication.
   bool trace_cache = true;
-  /// Deliver Hello broadcasts through the kernel's batched fan-out (one
-  /// queue entry + one shared closure per transmission) instead of one
-  /// schedule_local per receiver. Sequence numbers are pre-assigned so the
-  /// event stream is byte-identical either way — pinned by
-  /// Determinism.BatchedDeliveryMatchesUnbatched (serial and sharded);
-  /// the per-receiver loop is kept as the differential baseline. Env
-  /// escape hatch: MSTC_NO_BATCH_DELIVERY=1.
-  bool batch_delivery = true;
-  /// Serve the medium/snapshot candidate re-check with the portable
-  /// scalar loop instead of the SIMD block filter (see geom/filter.hpp).
-  /// The wide kernel evaluates the identical predicate with
-  /// IEEE-754-identical arithmetic, so results are byte-identical —
-  /// pinned by Determinism.ScalarFilterMatchesWide. Env escape hatch:
-  /// MSTC_FILTER_SCALAR=1.
-  bool scalar_filter = false;
   /// Intra-replication parallelism: shard the event kernel spatially and
   /// run shards concurrently within this one replication. 1 (default) is
   /// the serial kernel, exactly; >= 2 requests that many x-axis strips
@@ -99,15 +76,13 @@ struct ScenarioConfig {
   /// for any value — pinned by
   /// Determinism.ShardedKernelMatchesSerialByteForByte. The scenario falls
   /// back to serial when a feature needs a global event order (csma MAC,
-  /// event tracing / flight recorder). Env: MSTC_SHARDS (count) and
-  /// MSTC_KERNEL_SERIAL=1 (force-serial escape hatch).
+  /// event tracing / flight recorder). Env: MSTC_SHARDS.
   std::size_t shards = 1;
   /// Event-queue backend: "calendar" (default — the O(1) bucketed
   /// scheduler, see sim/event_queue.hpp) or "heap" (the binary-heap
   /// reference). Pop order is a strict (time, sequence) total order, so
   /// both backends produce byte-identical results — pinned by
-  /// Determinism.CalendarQueueMatchesHeapByteForByte; the heap is kept as
-  /// the differential baseline and escape hatch. Env: MSTC_EVENT_QUEUE.
+  /// Determinism.CalendarQueueMatchesHeapByteForByte.
   std::string queue = "calendar";
 
   // --- workload & measurement ---
@@ -140,11 +115,14 @@ struct ScenarioConfig {
 [[nodiscard]] ScenarioConfig paper_scale(ScenarioConfig base);
 
 /// Applies MSTC_SIM_TIME / MSTC_NODES / MSTC_FLOOD_RATE /
-/// MSTC_SNAPSHOT_RATE / MSTC_WARMUP env overrides; MSTC_PAPER_SCALE=1
-/// applies paper_scale first.
+/// MSTC_SNAPSHOT_RATE / MSTC_WARMUP / MSTC_SHARDS env overrides;
+/// MSTC_PAPER_SCALE=1 applies paper_scale first. Throws
+/// std::invalid_argument naming the variable when a count (MSTC_NODES,
+/// MSTC_SHARDS) is negative.
 [[nodiscard]] ScenarioConfig apply_env_overrides(ScenarioConfig base);
 
-/// Repetition count for sweeps: MSTC_REPEATS env or `fallback`.
+/// Repetition count for sweeps: MSTC_REPEATS env or `fallback`. Throws
+/// std::invalid_argument when MSTC_REPEATS is negative.
 [[nodiscard]] std::size_t sweep_repeats(std::size_t fallback = 5);
 
 }  // namespace mstc::runner

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
-#include <numbers>
 #include <optional>
 #include <stdexcept>
 
@@ -16,7 +15,6 @@
 #include "sim/medium.hpp"
 #include "sim/simulator.hpp"
 #include "topology/protocol.hpp"
-#include "util/options.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -58,8 +56,7 @@ std::unique_ptr<mobility::MobilityModel> make_mobility(
 /// TraceCache when enabled (sweep points differing only in protocol /
 /// mode / buffer share one set), generated privately otherwise.
 /// Generation is pure in (mobility inputs, derived seed), so the two
-/// sources are bit-identical and MSTC_NO_TRACE_CACHE=1 / trace_cache =
-/// false is a pure wall-clock escape hatch.
+/// sources are bit-identical and trace_cache = false costs wall clock only.
 std::shared_ptr<const mobility::TraceSet> acquire_traces(
     const ScenarioConfig& cfg, const obs::Probe& probe) {
   const obs::ScopedTimer timer(probe.profiler(), obs::Category::kTraceGen);
@@ -68,7 +65,7 @@ std::shared_ptr<const mobility::TraceSet> acquire_traces(
     return mobility::generate_traces(*make_mobility(cfg), cfg.node_count,
                                      cfg.duration, seed);
   };
-  if (!cfg.trace_cache || util::env_flag("MSTC_NO_TRACE_CACHE")) {
+  if (!cfg.trace_cache) {
     probe.count(obs::Counter::kTraceCacheMisses);
     return std::make_shared<const mobility::TraceSet>(generate());
   }
@@ -98,15 +95,14 @@ std::size_t shard_columns(const ScenarioConfig& cfg) {
 }
 
 /// Resolves the shard count actually used for this replication. Serial
-/// fallbacks: the MSTC_KERNEL_SERIAL=1 escape hatch; the csma MAC (its
-/// channel draws RNG per delivery, so deliveries must stay in the global
-/// serial order); event tracing / flight recording (their sinks record the
-/// global order). The count is clamped to the fleet size and to the number
-/// of grid-cell columns (a strip narrower than one cell cannot be cut).
+/// fallbacks: the csma MAC (its channel draws RNG per delivery, so
+/// deliveries must stay in the global serial order); event tracing / flight
+/// recording (their sinks record the global order). The count is clamped to
+/// the fleet size and to the number of grid-cell columns (a strip narrower
+/// than one cell cannot be cut).
 std::uint32_t effective_shards(const ScenarioConfig& cfg,
                                const obs::RunObservation* observation) {
   if (cfg.shards <= 1) return 1;
-  if (util::env_flag("MSTC_KERNEL_SERIAL")) return 1;
   if (cfg.mac == "csma") return 1;
   if (observation != nullptr &&
       (observation->trace_on || observation->flight_on)) {
@@ -117,38 +113,24 @@ std::uint32_t effective_shards(const ScenarioConfig& cfg,
   return static_cast<std::uint32_t>(clamped);
 }
 
-/// Resolves the event-queue backend and its bucket-width hint. The
-/// MSTC_EVENT_QUEUE escape hatch wins over cfg.queue; unknown names are a
-/// configuration error.
-sim::QueueConfig resolve_queue(const ScenarioConfig& cfg,
-                               bool batch_delivery) {
-  const std::string name = util::env_or("MSTC_EVENT_QUEUE", cfg.queue);
+/// Resolves the event-queue backend and its bucket-width hint; unknown
+/// backend names are a configuration error.
+sim::QueueConfig resolve_queue(const ScenarioConfig& cfg) {
   const std::optional<sim::QueueBackend> backend =
-      sim::parse_queue_backend(name);
+      sim::parse_queue_backend(cfg.queue);
   if (!backend.has_value()) {
-    throw std::invalid_argument("unknown event queue backend: " + name);
+    throw std::invalid_argument("unknown event queue backend: " + cfg.queue);
   }
   sim::QueueConfig queue;
   queue.backend = *backend;
   if (queue.backend == sim::QueueBackend::kCalendar) {
     // Bucket-width hint from the scenario's timing shape: the event stream
-    // is dominated by the Hello fan-out. Batched delivery pushes one
-    // fan-out entry per broadcast (one send + one fan-out per node per
-    // interval); the unbatched hatch pushes ~degree per-receiver
-    // deliveries instead, so the mean spacing is hello / (n * (1 +
-    // degree)). Width targets kTargetOccupancy events per bucket; the
-    // queue's occupancy self-resize corrects any drift (floods, MAC
+    // is dominated by the Hello fan-out, one send + one fan-out entry per
+    // node per interval. Width targets kTargetOccupancy events per bucket;
+    // the queue's occupancy self-resize corrects any drift (floods, MAC
     // retries, expiry sweeps). The hint shapes wall clock only — event
     // order is identical whatever the width.
-    const double area = cfg.area.width * cfg.area.height;
-    const double fleet = static_cast<double>(cfg.node_count);
-    const double degree = std::min(
-        std::max(fleet - 1.0, 0.0),
-        area > 0.0 ? std::numbers::pi * cfg.normal_range * cfg.normal_range *
-                         fleet / area
-                   : 0.0);
-    const double per_interval =
-        batch_delivery ? fleet * 2.0 : fleet * (1.0 + degree);
+    const double per_interval = 2.0 * static_cast<double>(cfg.node_count);
     if (per_interval > 0.0 && cfg.hello_interval > 0.0) {
       const double cap = std::max(1e-6, cfg.hello_interval / 16.0);
       queue.bucket_width = std::clamp(
@@ -169,10 +151,7 @@ class Scenario {
         traces_(acquire_traces(cfg, probe_)),
         medium_(*traces_,
                 {.propagation_delay = kPropagationDelay,
-                 .brute_force = cfg.medium_brute_force,
-                 .grid_min_nodes = cfg.medium_grid_min_nodes,
-                 .scalar_filter = cfg.scalar_filter ||
-                                  util::env_flag("MSTC_FILTER_SCALAR")}),
+                 .grid_min_nodes = cfg.medium_grid_min_nodes}),
         suite_(topology::make_protocol(cfg.protocol)),
         beacon_rng_(util::derive_seed(cfg.seed, 0xBEAC0)),
         traffic_rng_(util::derive_seed(cfg.seed, 0x7AFF1C)),
@@ -204,11 +183,8 @@ class Scenario {
     for (auto& node : nodes_) node.attach_probe(&probe_);
     medium_.set_probe(&probe_);
     simulator_.set_probe(&probe_);
-    batch_delivery_ =
-        cfg.batch_delivery && !util::env_flag("MSTC_NO_BATCH_DELIVERY");
-    scalar_filter_ = cfg.scalar_filter || util::env_flag("MSTC_FILTER_SCALAR");
     configure_sharding(cfg, observation);
-    simulator_.configure_queue(resolve_queue(cfg, batch_delivery_));
+    simulator_.configure_queue(resolve_queue(cfg));
     // Size the event kernel for the whole run up front: per-node beacon
     // chains plus the pre-scheduled flood and snapshot events (x2 covers
     // per-hop forwarding churn and MAC retries).
@@ -483,41 +459,24 @@ class Scenario {
     // reading now() at execution (schedule_in computes the same sum), and
     // lets the handler run off the driving thread.
     const double at = now + kPropagationDelay;
-    if (batch_delivery_) {
-      // Loss injection is applied here, in ascending receiver order, so
-      // the loss_rng_ stream is drawn exactly as the per-receiver loop
-      // below draws it; the surviving set then schedules as ONE fan-out
-      // event whose pre-assigned sequence span reproduces the per-receiver
-      // loop's (time, sequence) keys byte-for-byte.
-      fanout_receivers_.clear();
-      for (NodeId v : receiver_buffer_) {
-        if (drop_by_loss_injection(v)) continue;
-        fanout_receivers_.push_back(key_of(v));
-      }
-      auto deliver = [this, hello, at](std::uint32_t v) {
-        nodes_[v].on_hello_receive(hello, at);
-      };
-      // The hot-path closure: ONE per Hello (not per receiver). It is
-      // shared across deliveries — and across shards under the parallel
-      // drain — so it must not mutate its captures; on_hello_receive
-      // touches only the receiving node's state.
-      static_assert(sim::FanoutHandler::fits_inline<decltype(deliver)>);
-      simulator_.schedule_fanout(at, fanout_receivers_, std::move(deliver));
-      return;
-    }
-    // Unbatched escape hatch (MSTC_NO_BATCH_DELIVERY): the differential
-    // baseline the batched fan-out is byte-compared against.
-    // mstc-lint: allow(per-receiver-schedule)
+    // Loss injection is applied here, in ascending receiver order; the
+    // surviving set then schedules as ONE fan-out event whose pre-assigned
+    // sequence span reproduces a per-receiver schedule_local loop's
+    // (time, sequence) keys byte-for-byte (tests/sim/fanout_test.cpp).
+    fanout_receivers_.clear();
     for (NodeId v : receiver_buffer_) {
       if (drop_by_loss_injection(v)) continue;
-      auto deliver = [this, v, hello, at] {
-        nodes_[v].on_hello_receive(hello, at);
-      };
-      // The hot-path handler: per receiver, per Hello. It must stay inside
-      // the event kernel's inline storage or every delivery allocates.
-      static_assert(sim::Handler::fits_inline<decltype(deliver)>);
-      simulator_.schedule_local(at, key_of(v), std::move(deliver));
+      fanout_receivers_.push_back(key_of(v));
     }
+    auto deliver = [this, hello, at](std::uint32_t v) {
+      nodes_[v].on_hello_receive(hello, at);
+    };
+    // The hot-path closure: ONE per Hello (not per receiver). It is shared
+    // across deliveries — and across shards under the parallel drain — so
+    // it must not mutate its captures; on_hello_receive touches only the
+    // receiving node's state.
+    static_assert(sim::FanoutHandler::fits_inline<decltype(deliver)>);
+    simulator_.schedule_fanout(at, fanout_receivers_, std::move(deliver));
   }
 
   /// Independent per-reception Hello loss (failure injection).
@@ -662,13 +621,10 @@ class Scenario {
     medium_.positions(simulator_.now(), position_buffer_);
     // Grid-backed, scratch-reusing measurement; shares the medium's
     // crossover threshold so medium_grid_min_nodes = 0 forces both grids
-    // on in the differential suites.
+    // on (and SIZE_MAX both brute scans) in the differential suites.
     const auto stats = metrics::measure_snapshot(
         nodes_, position_buffer_, snapshot_scratch_,
-        {.brute_force = cfg_.snapshot_brute_force,
-         .grid_min_nodes = cfg_.medium_grid_min_nodes,
-         .scalar_filter = scalar_filter_},
-        &probe_);
+        {.grid_min_nodes = cfg_.medium_grid_min_nodes}, &probe_);
     strict_.add(stats.strict_connectivity);
     range_.add(stats.mean_range);
     logical_degree_.add(stats.mean_logical_degree);
@@ -697,12 +653,6 @@ class Scenario {
   // Sharded-kernel state; empty when the replication resolved to serial.
   std::uint32_t shards_ = 1;
   bool sharded_ = false;
-  /// Batched Hello fan-out (config flag + MSTC_NO_BATCH_DELIVERY hatch),
-  /// resolved once per replication.
-  bool batch_delivery_ = true;
-  /// Scalar candidate-filter hatch (config flag + MSTC_FILTER_SCALAR),
-  /// resolved once and fed to the medium and the snapshot path.
-  bool scalar_filter_ = false;
   std::vector<topology::ProtocolSuite> shard_suites_;
   std::vector<obs::RunObservation> shard_obs_;  // merged into probe_'s after
   std::vector<obs::Probe> shard_probes_;

@@ -6,6 +6,9 @@
 // range and runs its NodeController; a flooding application measures weak
 // connectivity; periodic snapshots measure strict connectivity, ranges and
 // degrees.
+//
+// A run reads no environment: every input is in the ScenarioConfig (see
+// apply_env_overrides for the MSTC_* variables a front end may fold in).
 #pragma once
 
 #include "metrics/aggregate.hpp"
@@ -26,10 +29,10 @@ namespace mstc::runner {
                                              obs::RunObservation* observation);
 
 /// The shard count a replication of `config` would actually run with:
-/// config.shards after the MSTC_KERNEL_SERIAL / csma serial fallbacks and
-/// the fleet-size / grid-column clamps (see effective_shards in
-/// scenario.cpp). Tracing and flight recording force serial separately —
-/// this resolution assumes both are off, as in benchmarks.
+/// config.shards after the csma serial fallback and the fleet-size /
+/// grid-column clamps (see effective_shards in scenario.cpp). Tracing and
+/// flight recording force serial separately — this resolution assumes both
+/// are off, as in benchmarks.
 [[nodiscard]] std::uint32_t resolved_shard_count(const ScenarioConfig& config);
 
 }  // namespace mstc::runner

@@ -65,8 +65,8 @@ void Medium::receivers(NodeId sender, double range, double t,
   // range <= 0 (a sender with an empty selection and no buffer) stays on
   // the brute scan: sizing grid cells for a degenerate radius would poison
   // the index for every later full-range query in the epoch.
-  if (config_.brute_force || traces_.empty() ||
-      traces_.size() < config_.grid_min_nodes || range <= 0.0) {
+  if (traces_.empty() || traces_.size() < config_.grid_min_nodes ||
+      range <= 0.0) {
     const geom::Vec2 origin = position(sender, t);
     for (NodeId node = 0; node < traces_.size(); ++node) {
       if (node == sender) continue;
@@ -104,15 +104,9 @@ void Medium::receivers(NodeId sender, double range, double t,
                               candidate_buffer_.end(),
                               static_cast<std::size_t>(sender)));
     checks = m > 0 ? m - 1 : 0;
-    if (config_.scalar_filter) {
-      geom::filter_within_range_scalar(filter_xs_.data(), filter_ys_.data(),
-                                       candidate_buffer_.data(), m, origin,
-                                       range_sq, sender, out);
-    } else {
-      geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
-                                candidate_buffer_.data(), m, origin, range_sq,
-                                sender, out);
-    }
+    geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
+                              candidate_buffer_.data(), m, origin, range_sq,
+                              sender, out);
   }
   if (probe_ != nullptr) {
     probe_->count(obs::Counter::kMediumCandidates, checks);
@@ -138,12 +132,10 @@ void Medium::links_within(double range, double t,
   out.clear();
   const double range_sq = range * range;
   std::uint64_t checks = 0;
-  if (config_.brute_force || traces_.empty() ||
-      traces_.size() < config_.grid_min_nodes) {
+  if (traces_.empty() || traces_.size() < config_.grid_min_nodes) {
     positions(t, scratch_positions_);
-    // The deliberate brute-force baseline behind MSTC_MEDIUM_BRUTE and the
-    // small-fleet crossover; the differential suites compare the grid
-    // against exactly this loop.
+    // The small-fleet crossover (grid_min_nodes = SIZE_MAX forces it); the
+    // differential suites compare the grid against exactly this loop.
     for (NodeId u = 0; u < scratch_positions_.size(); ++u) {
       // mstc-lint: allow(all-pairs-scan)
       for (NodeId v = u + 1; v < scratch_positions_.size(); ++v) {
@@ -188,17 +180,10 @@ void Medium::links_within(double range, double t,
       }
       checks += m;
       accepted_buffer_.clear();
-      if (config_.scalar_filter) {
-        geom::filter_within_range_scalar(
-            filter_xs_.data(), filter_ys_.data(),
-            candidate_buffer_.data() + offset, m, scratch_positions_[u],
-            range_sq, geom::kFilterNoSkip, accepted_buffer_);
-      } else {
-        geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
-                                  candidate_buffer_.data() + offset, m,
-                                  scratch_positions_[u], range_sq,
-                                  geom::kFilterNoSkip, accepted_buffer_);
-      }
+      geom::filter_within_range(filter_xs_.data(), filter_ys_.data(),
+                                candidate_buffer_.data() + offset, m,
+                                scratch_positions_[u], range_sq,
+                                geom::kFilterNoSkip, accepted_buffer_);
       for (const std::size_t v : accepted_buffer_) out.emplace_back(u, v);
     }
   }

@@ -46,19 +46,13 @@ class Medium {
   struct Config {
     double propagation_delay = 1e-6;  ///< seconds; >= 0
 
-    /// Escape hatch: serve every query with the brute-force O(n) scan
-    /// instead of the spatial index. Results are bit-identical either way
-    /// (the determinism suite compares whole sweeps byte-for-byte); brute
-    /// force exists for differential testing and as a baseline for
-    /// bench_scale.
-    bool brute_force = false;
-
-    /// Fleets smaller than this use the brute scan automatically: below
-    /// ~150 nodes the index roughly breaks even (rebuild cost dominates —
-    /// see docs/PERFORMANCE.md and the BENCH_medium.json n=100 row), so
-    /// the crossover is built in. 0 forces the index for any non-empty
-    /// fleet (differential tests pin the grid path this way). Results are
-    /// bit-identical on both sides of the threshold.
+    /// Fleets smaller than this use the brute scan: below ~150 nodes the
+    /// index roughly breaks even (rebuild cost dominates — see
+    /// docs/PERFORMANCE.md and the BENCH_medium.json n=100 row), so the
+    /// crossover is built in. 0 forces the index for any non-empty fleet
+    /// and SIZE_MAX forces the brute scan; the differential tests and
+    /// bench_scale compare the two this way. Results are bit-identical on
+    /// both sides of the threshold.
     std::size_t grid_min_nodes = 150;
 
     /// The index is rebuilt when the mobility slack 2 * v_max * |t - t0|
@@ -66,12 +60,6 @@ class Medium {
     /// more often but keep the candidate radius tight; 0 disables slack
     /// entirely (every moving-fleet query rebuilds). Must be >= 0.
     double rebuild_slack_fraction = 0.5;
-
-    /// Escape hatch: re-check grid candidates with the portable scalar
-    /// loop instead of the SIMD block filter (geom/filter.hpp). The wide
-    /// kernel is IEEE-754-identical to the scalar predicate, so results
-    /// are byte-identical either way; kept for differential testing.
-    bool scalar_filter = false;
   };
 
   /// The medium aliases `traces`; the owner must outlive it.

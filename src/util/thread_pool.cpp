@@ -87,8 +87,6 @@ void ThreadPool::worker_loop() {
 }
 
 std::size_t default_parallel_chunk(std::size_t n, std::size_t workers) {
-  const auto env_chunk = env_or("MSTC_PARALLEL_CHUNK", std::int64_t{0});
-  if (env_chunk > 0) return static_cast<std::size_t>(env_chunk);
   if (workers == 0) return 1;
   // ~8 grabs per worker: enough dynamic slack to absorb skewed per-index
   // costs (sweep replications vary widely), few enough counter grabs to

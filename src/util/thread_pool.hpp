@@ -94,8 +94,8 @@ void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
 /// parallel_for with an explicit chunk size (indices per counter grab).
-/// chunk == 0 picks the default heuristic; chunk == 1 is the maximally
-/// balanced escape hatch (one index per grab, the pre-chunking behavior).
+/// chunk == 0 picks the default heuristic; chunk == 1 is maximally
+/// balanced (one index per grab, the pre-chunking behavior).
 /// Larger chunks amortize counter traffic for cheap bodies at the price of
 /// coarser load balancing.
 ///
@@ -111,7 +111,7 @@ void parallel_for_chunked(ThreadPool& pool, std::size_t n, std::size_t chunk,
 /// Chunk size parallel_for uses for `n` indices on `workers` threads when
 /// none is given: keeps ~8 grabs per worker for load balancing while
 /// bounding counter traffic, so small sweeps (n <= 8 * workers) stay at
-/// chunk 1 and huge index spaces scale. Env override: MSTC_PARALLEL_CHUNK.
+/// chunk 1 and huge index spaces scale.
 [[nodiscard]] std::size_t default_parallel_chunk(std::size_t n,
                                                  std::size_t workers);
 

@@ -12,7 +12,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -197,24 +197,70 @@ TEST(Determinism, LedgerAndExporterOnDoesNotChangeResults) {
 }
 
 TEST(Determinism, GridIndexedMediumMatchesBruteForceByteForByte) {
-  // The medium's spatial index (PR 3) is an optimization with a
-  // bit-identity contract: conservative-radius candidate filtering plus
-  // exact checks must reproduce the brute-force receiver sets exactly, so
-  // whole sweeps — metrics, event ordering, everything — byte-compare
-  // across the two paths. Runs through the pool so the TSan job also
-  // covers the index's mutable caches.
+  // The medium's spatial index and the grid-backed snapshot are
+  // optimizations with a bit-identity contract: conservative-radius
+  // candidate sets plus exact checks (and union-find connectivity) must
+  // reproduce the brute scans exactly, so whole sweeps — metrics, event
+  // ordering, everything — byte-compare across the two paths. One
+  // crossover threshold drives both layers: grid_min_nodes = 0 forces both
+  // grids on the representative fleets (which sit below the default
+  // crossover), SIZE_MAX forces both brute scans (the threshold is
+  // ScenarioConfig::medium_grid_min_nodes, hence the name). Runs through
+  // the pool so the TSan job also covers the index's mutable caches.
   auto configs = representative_configs();
-  // Representative fleets sit below the grid_min_nodes crossover; force the
-  // index on so this test compares genuinely different code paths.
   for (auto& config : configs) config.medium_grid_min_nodes = 0;
   util::ThreadPool pool(3);
   const auto grid = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
 
-  for (auto& config : configs) config.medium_brute_force = true;
+  for (auto& config : configs) {
+    config.medium_grid_min_nodes = std::numeric_limits<std::size_t>::max();
+  }
   const auto brute = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
 
   ASSERT_EQ(grid, brute)
-      << "grid-backed medium diverged from the brute-force scan";
+      << "grid-backed medium/snapshot diverged from the brute-force scans";
+}
+
+TEST(Determinism, SnapshotGridMatchesBruteForceByteForByte) {
+  // The snapshot half of the test above, guarded against passing
+  // vacuously: the scenario hands medium_grid_min_nodes to
+  // measure_snapshot, and if that wiring broke, both sweeps would measure
+  // with the brute scan and still byte-compare. The snapshot_links_examined
+  // counter tells the paths apart (the brute scan checks every pair, the
+  // grid only padded-cell candidates), so each replication must report
+  // strictly fewer exact link checks on the grid side, with identical
+  // result bytes.
+  auto configs = representative_configs();
+  for (auto& config : configs) config.medium_grid_min_nodes = 0;
+  util::ThreadPool pool(3);
+  std::vector<obs::RunObservation> grid_obs;
+  SweepHooks grid_hooks;
+  grid_hooks.observations = &grid_obs;
+  const auto grid =
+      bit_snapshot(run_batch_raw(configs, kRepeats, pool, grid_hooks));
+
+  for (auto& config : configs) {
+    config.medium_grid_min_nodes = std::numeric_limits<std::size_t>::max();
+  }
+  std::vector<obs::RunObservation> brute_obs;
+  SweepHooks brute_hooks;
+  brute_hooks.observations = &brute_obs;
+  const auto brute =
+      bit_snapshot(run_batch_raw(configs, kRepeats, pool, brute_hooks));
+
+  ASSERT_EQ(grid, brute)
+      << "grid-backed snapshots diverged from the brute-force measurement";
+  ASSERT_EQ(grid_obs.size(), configs.size() * kRepeats);
+  ASSERT_EQ(brute_obs.size(), grid_obs.size());
+  for (std::size_t i = 0; i < grid_obs.size(); ++i) {
+    const auto grid_links =
+        grid_obs[i].counters.total(obs::Counter::kSnapshotLinksExamined);
+    const auto brute_links =
+        brute_obs[i].counters.total(obs::Counter::kSnapshotLinksExamined);
+    EXPECT_GT(grid_links, 0u) << "run " << i << " measured no snapshot";
+    EXPECT_LT(grid_links, brute_links)
+        << "run " << i << " did not take the snapshot grid path";
+  }
 }
 
 TEST(Determinism, RecomputeCacheOnMatchesOff) {
@@ -242,32 +288,13 @@ TEST(Determinism, RecomputeCacheOnMatchesOff) {
       << "recompute cache changed pooled simulation results";
 }
 
-TEST(Determinism, SnapshotGridMatchesBruteForceByteForByte) {
-  // The snapshot fast path (PR 5) mirrors the medium's contract: padded
-  // grid candidate sets + exact predicate confirmation + union-find
-  // connectivity must reproduce the brute-force measurement exactly, for
-  // whole sweeps, not just isolated fleets (the differential suite covers
-  // those). grid_min_nodes = 0 forces the snapshot grid on representative
-  // fleets that sit below the crossover.
-  auto configs = representative_configs();
-  for (auto& config : configs) config.medium_grid_min_nodes = 0;
-  util::ThreadPool pool(3);
-  const auto grid = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
-
-  for (auto& config : configs) config.snapshot_brute_force = true;
-  const auto brute = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
-
-  ASSERT_EQ(grid, brute)
-      << "grid-backed snapshots diverged from the brute-force measurement";
-}
-
 TEST(Determinism, TraceCacheSharedMatchesPerReplication) {
   // Replications of one sweep point share a mobility TraceSet through
   // mobility::TraceCache (PR 5). Generation is pure in the cache key, so
   // cache-on sweeps must byte-compare against sweeps that regenerate
-  // per replication (the MSTC_NO_TRACE_CACHE=1 escape hatch) — any
-  // divergence means the key misses an input trace generation reads, or a
-  // shared consumer mutated the set.
+  // per replication (trace_cache = false) — any divergence means the key
+  // misses an input trace generation reads, or a shared consumer mutated
+  // the set.
   const auto configs = representative_configs();
   util::ThreadPool pool(3);
   mobility::TraceCache::global().clear();
@@ -278,37 +305,12 @@ TEST(Determinism, TraceCacheSharedMatchesPerReplication) {
   // This is the setup saving the bench's amortization row quantifies.
   EXPECT_EQ(mobility::TraceCache::global().size(), kRepeats);
 
-  ASSERT_EQ(setenv("MSTC_NO_TRACE_CACHE", "1", 1), 0);
-  const auto regenerated =
-      bit_snapshot(run_batch_raw(configs, kRepeats, pool));
-  ASSERT_EQ(unsetenv("MSTC_NO_TRACE_CACHE"), 0);
-
-  ASSERT_EQ(shared, regenerated)
-      << "trace-cache sharing changed simulation results";
-
-  // Belt and braces: the config-level switch takes the same path.
   auto uncached = configs;
   for (auto& config : uncached) config.trace_cache = false;
-  const auto config_off =
+  const auto regenerated =
       bit_snapshot(run_batch_raw(uncached, kRepeats, pool));
-  ASSERT_EQ(shared, config_off);
-}
-
-TEST(Determinism, ChunkSizeOneSweepMatchesDefaultChunking) {
-  // parallel_for hands out contiguous index chunks (PR 5); chunk size is
-  // pure scheduling, so MSTC_PARALLEL_CHUNK=1 — the pre-chunking one-index-
-  // per-grab behavior — must byte-match the default heuristic.
-  const auto configs = representative_configs();
-  util::ThreadPool pool(3);
-  const auto chunked = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
-
-  ASSERT_EQ(setenv("MSTC_PARALLEL_CHUNK", "1", 1), 0);
-  const auto unchunked =
-      bit_snapshot(run_batch_raw(configs, kRepeats, pool));
-  ASSERT_EQ(unsetenv("MSTC_PARALLEL_CHUNK"), 0);
-
-  ASSERT_EQ(chunked, unchunked)
-      << "chunk granularity changed sweep results";
+  ASSERT_EQ(shared, regenerated)
+      << "trace-cache sharing changed simulation results";
 }
 
 TEST(Determinism, ShardedKernelMatchesSerialByteForByte) {
@@ -341,22 +343,6 @@ TEST(Determinism, ShardedKernelMatchesSerialByteForByte) {
           << base.mobility_model << " fleet diverged at " << shards
           << " shards";
     }
-
-    // Env path: MSTC_SHARDS is how sweeps and benches opt in.
-    ASSERT_EQ(setenv("MSTC_SHARDS", "3", 1), 0);
-    const ScenarioConfig env_sharded = apply_env_overrides(base);
-    EXPECT_EQ(env_sharded.shards, 3u);
-    const auto via_env =
-        bit_snapshot(serial_reference({env_sharded}, kRepeats));
-    // Escape hatch: MSTC_KERNEL_SERIAL=1 forces the serial kernel even
-    // with a shard count configured.
-    ASSERT_EQ(setenv("MSTC_KERNEL_SERIAL", "1", 1), 0);
-    const auto hatched =
-        bit_snapshot(serial_reference({env_sharded}, kRepeats));
-    ASSERT_EQ(unsetenv("MSTC_KERNEL_SERIAL"), 0);
-    ASSERT_EQ(unsetenv("MSTC_SHARDS"), 0);
-    ASSERT_EQ(via_env, reference);
-    ASSERT_EQ(hatched, reference);
   }
 }
 
@@ -392,14 +378,6 @@ TEST(Determinism, CalendarQueueMatchesHeapByteForByte) {
           << base.mobility_model << " fleet diverged at " << shards
           << " shards on the calendar queue";
     }
-
-    // Escape hatch: MSTC_EVENT_QUEUE=heap overrides the config default.
-    ASSERT_EQ(setenv("MSTC_EVENT_QUEUE", "heap", 1), 0);
-    const ScenarioConfig hatched = apply_env_overrides(base);
-    EXPECT_EQ(hatched.queue, "heap");
-    const auto via_env = bit_snapshot(serial_reference({hatched}, kRepeats));
-    ASSERT_EQ(unsetenv("MSTC_EVENT_QUEUE"), 0);
-    ASSERT_EQ(via_env, reference);
   }
 }
 
@@ -424,80 +402,6 @@ TEST(Determinism, RepeatedParallelBatchesAreByteIdentical) {
   const auto first = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
   const auto second = bit_snapshot(run_batch_raw(configs, kRepeats, pool));
   ASSERT_EQ(first, second);
-}
-
-TEST(Determinism, BatchedDeliveryMatchesUnbatchedByteForByte) {
-  // Batched broadcast fan-out (this PR) turns one Hello into ONE queue
-  // entry carrying the receiver span instead of one closure per receiver,
-  // pre-assigning the exact (time, sequence) keys the per-receiver loop
-  // would have drawn. Pure storage optimization: every (config, shard)
-  // combination must byte-match the unbatched escape hatch.
-  ScenarioConfig waypoint;
-  waypoint.protocol = "RNG";
-  waypoint.average_speed = 30.0;
-  waypoint.duration = 6.0;
-  waypoint.warmup = 1.5;
-  waypoint.seed = 864213579;
-
-  ScenarioConfig still = waypoint;
-  still.mobility_model = "static";
-  still.protocol = "MST";
-  still.mode = core::ConsistencyMode::kWeak;
-
-  for (const auto& base : {waypoint, still}) {
-    for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      ScenarioConfig config = base;
-      config.shards = shards;
-      const auto batched =
-          bit_snapshot(serial_reference({config}, kRepeats));
-
-      // Env hatch: MSTC_NO_BATCH_DELIVERY=1 restores the per-receiver
-      // schedule_local loop.
-      ASSERT_EQ(setenv("MSTC_NO_BATCH_DELIVERY", "1", 1), 0);
-      const ScenarioConfig hatched = apply_env_overrides(config);
-      EXPECT_FALSE(hatched.batch_delivery);
-      const auto unbatched =
-          bit_snapshot(serial_reference({hatched}, kRepeats));
-      ASSERT_EQ(unsetenv("MSTC_NO_BATCH_DELIVERY"), 0);
-      ASSERT_EQ(batched, unbatched)
-          << base.mobility_model << " fleet diverged at " << shards
-          << " shards with batched delivery";
-
-      // Belt and braces: the config-level switch takes the same path.
-      ScenarioConfig config_off = config;
-      config_off.batch_delivery = false;
-      ASSERT_EQ(bit_snapshot(serial_reference({config_off}, kRepeats)),
-                batched);
-    }
-  }
-}
-
-TEST(Determinism, ScalarFilterMatchesWideByteForByte) {
-  // The SIMD/SoA candidate filter (this PR) re-checks grid candidates
-  // against the exact range in wide blocks; lane arithmetic is
-  // operation-for-operation the scalar predicate, so the wide and scalar
-  // builds must byte-match over whole runs. grid_min_nodes = 0 forces the
-  // grid (and with it the batched filter) on representative fleets.
-  auto configs = representative_configs();
-  for (auto& config : configs) config.medium_grid_min_nodes = 0;
-  const auto wide = bit_snapshot(serial_reference(configs, kRepeats));
-
-  // Env hatch: MSTC_FILTER_SCALAR=1 routes medium and snapshot filtering
-  // through the portable scalar loop.
-  ASSERT_EQ(setenv("MSTC_FILTER_SCALAR", "1", 1), 0);
-  auto hatched = configs;
-  for (auto& config : hatched) config = apply_env_overrides(config);
-  EXPECT_TRUE(hatched.front().scalar_filter);
-  const auto scalar = bit_snapshot(serial_reference(hatched, kRepeats));
-  ASSERT_EQ(unsetenv("MSTC_FILTER_SCALAR"), 0);
-  ASSERT_EQ(wide, scalar)
-      << "wide candidate filter diverged from the scalar reference";
-
-  // Belt and braces: the config-level switch takes the same path.
-  auto config_off = configs;
-  for (auto& config : config_off) config.scalar_filter = true;
-  ASSERT_EQ(bit_snapshot(serial_reference(config_off, kRepeats)), wide);
 }
 
 }  // namespace

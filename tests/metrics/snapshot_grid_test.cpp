@@ -6,16 +6,17 @@
 // These tests hold it to that: a verbatim reference implementation of the
 // pre-optimization measurement (brute pair scan, materialized effective
 // Graph, per-neighbor is_logical probe) is byte-compared against both the
-// brute_force escape hatch and the grid path (grid_min_nodes = 0 forces
-// the index even for small fleets) over randomized fleets, exact ==range
-// boundaries, the physical-neighbor enhancement on and off, and the
-// empty / singleton edge cases.
+// brute scan (grid_min_nodes = SIZE_MAX) and the grid path
+// (grid_min_nodes = 0 forces the index even for small fleets) over
+// randomized fleets, exact ==range boundaries, the physical-neighbor
+// enhancement on and off, and the empty / singleton edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -28,6 +29,9 @@
 
 namespace mstc::metrics {
 namespace {
+
+// No fleet reaches this crossover, so every snapshot takes the brute scan.
+constexpr std::size_t kBruteScan = std::numeric_limits<std::size_t>::max();
 
 using geom::Vec2;
 
@@ -133,21 +137,21 @@ Fleet make_fleet(std::size_t n, double side, std::uint64_t seed,
   return fleet;
 }
 
-/// Reference vs brute escape hatch vs forced grid, all byte-compared.
+/// Reference vs forced brute scan vs forced grid, all byte-compared.
 void expect_all_paths_identical(const Fleet& fleet) {
   const auto reference = bits(reference_snapshot(fleet.nodes, fleet.positions));
 
   SnapshotScratch brute_scratch;
   const auto brute = bits(measure_snapshot(fleet.nodes, fleet.positions,
                                            brute_scratch,
-                                           {.brute_force = true}));
+                                           {.grid_min_nodes = kBruteScan}));
   ASSERT_EQ(brute, reference)
       << "brute-force fast path diverged from the reference measurement";
 
   SnapshotScratch grid_scratch;
   const auto grid = bits(measure_snapshot(
       fleet.nodes, fleet.positions, grid_scratch,
-      {.brute_force = false, .grid_min_nodes = 0}));
+      {.grid_min_nodes = 0}));
   ASSERT_EQ(grid, reference)
       << "grid-backed path diverged from the reference measurement";
 
@@ -155,7 +159,7 @@ void expect_all_paths_identical(const Fleet& fleet) {
   // through the same (already warm) scratch gives the same bytes.
   const auto grid_again = bits(measure_snapshot(
       fleet.nodes, fleet.positions, grid_scratch,
-      {.brute_force = false, .grid_min_nodes = 0}));
+      {.grid_min_nodes = 0}));
   ASSERT_EQ(grid_again, reference) << "scratch reuse changed the result";
 }
 
@@ -288,9 +292,9 @@ TEST(SnapshotGrid, LinksExaminedCounterReflectsPruning) {
   obs::RunObservation brute_obs;
   obs::Probe brute_probe(&brute_obs);
   SnapshotScratch scratch;
-  const auto brute = bits(measure_snapshot(fleet.nodes, fleet.positions,
-                                           scratch, {.brute_force = true},
-                                           &brute_probe));
+  const auto brute = bits(
+      measure_snapshot(fleet.nodes, fleet.positions, scratch,
+                       {.grid_min_nodes = kBruteScan}, &brute_probe));
   EXPECT_EQ(brute_obs.counters.total(obs::Counter::kSnapshotLinksExamined),
             all_pairs);
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace mstc::runner {
 namespace {
@@ -12,7 +14,8 @@ class ConfigEnvTest : public ::testing::Test {
   void TearDown() override {
     for (const char* name :
          {"MSTC_PAPER_SCALE", "MSTC_SIM_TIME", "MSTC_NODES", "MSTC_FLOOD_RATE",
-          "MSTC_SNAPSHOT_RATE", "MSTC_WARMUP", "MSTC_REPEATS"}) {
+          "MSTC_SNAPSHOT_RATE", "MSTC_WARMUP", "MSTC_REPEATS",
+          "MSTC_SHARDS"}) {
       ::unsetenv(name);
     }
   }
@@ -39,9 +42,42 @@ TEST_F(ConfigEnvTest, PaperScaleRestoresFullParameters) {
 TEST_F(ConfigEnvTest, EnvOverridesApply) {
   ::setenv("MSTC_SIM_TIME", "55", 1);
   ::setenv("MSTC_NODES", "42", 1);
+  ::setenv("MSTC_SHARDS", "3", 1);
   const ScenarioConfig cfg = apply_env_overrides({});
   EXPECT_DOUBLE_EQ(cfg.duration, 55.0);
   EXPECT_EQ(cfg.node_count, 42u);
+  EXPECT_EQ(cfg.shards, 3u);
+}
+
+/// Expects `call` to throw std::invalid_argument naming `variable`.
+template <typename Call>
+void expect_rejects(const char* variable, Call call) {
+  try {
+    call();
+    ADD_FAILURE() << variable << " < 0 was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(variable), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST_F(ConfigEnvTest, NegativeCountsAreRejected) {
+  // A negative count used to wrap to a huge size_t (MSTC_NODES=-5 became
+  // 18446744073709551611 nodes and died in vector::reserve).
+  ::setenv("MSTC_NODES", "-5", 1);
+  expect_rejects("MSTC_NODES", [] { (void)apply_env_overrides({}); });
+  ::unsetenv("MSTC_NODES");
+  ::setenv("MSTC_SHARDS", "-1", 1);
+  expect_rejects("MSTC_SHARDS", [] { (void)apply_env_overrides({}); });
+  ::setenv("MSTC_REPEATS", "-2", 1);
+  expect_rejects("MSTC_REPEATS", [] { (void)sweep_repeats(5); });
+
+  // Zero is the boundary and stays valid.
+  ::unsetenv("MSTC_SHARDS");
+  ::setenv("MSTC_NODES", "0", 1);
+  ::setenv("MSTC_REPEATS", "0", 1);
+  EXPECT_EQ(apply_env_overrides({}).node_count, 0u);
+  EXPECT_EQ(sweep_repeats(5), 0u);
 }
 
 TEST_F(ConfigEnvTest, PaperScaleFlagAppliesBeforeOverrides) {

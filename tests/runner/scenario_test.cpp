@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <vector>
+
+#include "mobility/trace_cache.hpp"
 #include "runner/sweep.hpp"
 #include "util/prng.hpp"
 
@@ -219,6 +226,72 @@ TEST(Scenario, UnknownMobilityModelThrows) {
   auto cfg = quick("RNG", 1.0);
   cfg.mobility_model = "teleport";
   EXPECT_THROW((void)run_scenario(cfg), std::invalid_argument);
+}
+
+// Variables scenario.cpp once read on every replication, after
+// apply_env_overrides: a bad MSTC_EVENT_QUEUE threw, MSTC_KERNEL_SERIAL
+// forced one shard, MSTC_NO_TRACE_CACHE turned cache hits into misses, and
+// the other two switched the Hello delivery and filter kernels.
+// ScenarioConfig now carries every execution setting, so none of them may
+// reach a run.
+constexpr std::array kRunnerEnvSwitches = {
+    "MSTC_EVENT_QUEUE", "MSTC_KERNEL_SERIAL", "MSTC_NO_TRACE_CACHE",
+    "MSTC_NO_BATCH_DELIVERY", "MSTC_FILTER_SCALAR"};
+
+class ScenarioEnvTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    for (const char* name : kRunnerEnvSwitches) ::unsetenv(name);
+  }
+};
+
+/// What a run exposes: result bits, every counter of a run whose traces
+/// come from a warm cache, and the shard count it resolves to.
+struct RunFacts {
+  std::vector<std::uint64_t> stats_bits;
+  std::vector<std::uint64_t> counters;
+  std::uint32_t shards = 0;
+};
+
+RunFacts run_facts(const ScenarioConfig& cfg) {
+  RunFacts facts;
+  facts.shards = resolved_shard_count(cfg);
+  mobility::TraceCache::global().clear();
+  (void)run_scenario(cfg);  // warms the trace cache
+  obs::RunObservation observation;
+  const metrics::RunStats stats = run_scenario(cfg, &observation);
+  for (const double metric :
+       {stats.delivery_ratio, stats.strict_connectivity, stats.mean_range,
+        stats.mean_logical_degree, stats.mean_physical_degree,
+        stats.control_tx_rate, stats.mac_collision_fraction}) {
+    facts.stats_bits.push_back(std::bit_cast<std::uint64_t>(metric));
+  }
+  for (std::size_t c = 0; c < obs::kCounterCount; ++c) {
+    facts.counters.push_back(
+        observation.counters.total(static_cast<obs::Counter>(c)));
+  }
+  return facts;
+}
+
+TEST_F(ScenarioEnvTest, RunReadsNoEnvironment) {
+  auto cfg = quick("RNG", 20.0);
+  cfg.duration = 6.0;
+  cfg.warmup = 1.5;
+  cfg.shards = 2;
+  const RunFacts unset = run_facts(cfg);
+  ASSERT_EQ(unset.shards, 2u);
+  ASSERT_EQ(unset.counters[static_cast<std::size_t>(
+                obs::Counter::kTraceCacheHits)],
+            1u);
+
+  for (const char* name : kRunnerEnvSwitches) ::setenv(name, "1", 1);
+  ::setenv("MSTC_EVENT_QUEUE", "bogus", 1);
+  RunFacts set;
+  ASSERT_NO_THROW(set = run_facts(cfg));
+  EXPECT_EQ(set.shards, unset.shards);
+  EXPECT_EQ(set.stats_bits, unset.stats_bits);
+  EXPECT_EQ(set.counters, unset.counters)
+      << "an environment variable changed a run's execution path";
 }
 
 TEST(Sweep, RepeatedRunsMatchManualDerivation) {

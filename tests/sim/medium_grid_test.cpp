@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "obs/probe.hpp"
@@ -18,6 +19,9 @@
 
 namespace mstc::sim {
 namespace {
+
+// No fleet reaches this crossover, so every query takes the brute scan.
+constexpr std::size_t kBruteScan = std::numeric_limits<std::size_t>::max();
 
 using geom::Vec2;
 using mobility::Leg;
@@ -80,7 +84,7 @@ TEST(MediumGrid, RandomizedDifferentialAgainstBruteForce) {
     const double max_speed = trial % 4 == 0 ? 0.0 : rng.uniform(0.0, 40.0);
     const auto traces = random_fleet(rng, n, duration, extent, max_speed);
     const Medium grid(traces, {.grid_min_nodes = 0});
-    const Medium brute(traces, {.brute_force = true});
+    const Medium brute(traces, {.grid_min_nodes = kBruteScan});
     // Ascending times (the common case the cursor cache optimizes for),
     // then a few deliberately out-of-order and past-duration probes.
     for (double t = 0.0; t <= duration + 4.0; t += rng.uniform(0.3, 2.0)) {
@@ -99,7 +103,7 @@ TEST(MediumGrid, DistanceExactlyEqualToRangeIsInclusiveInBothPaths) {
     traces.push_back(Trace({Leg{0.0, {10.0 * i, 0.0}, {0.0, 0.0}}}, 50.0));
   }
   const Medium grid(traces, {.grid_min_nodes = 0});
-  const Medium brute(traces, {.brute_force = true});
+  const Medium brute(traces, {.grid_min_nodes = kBruteScan});
   for (const double r : {10.0, 20.0, 30.0}) {
     expect_equal_queries(grid, brute, r, 0.0);
   }
@@ -116,7 +120,7 @@ TEST(MediumGrid, NodesAtAreaCornersMatch) {
     traces.push_back(Trace({Leg{0.0, p, {0.0, 0.0}}}, 10.0));
   }
   const Medium grid(traces, {.grid_min_nodes = 0});
-  const Medium brute(traces, {.brute_force = true});
+  const Medium brute(traces, {.grid_min_nodes = kBruteScan});
   // Exactly the diagonal, exactly the side, just below each.
   for (const double r : {side * std::sqrt(2.0), side,
                          std::nextafter(side, 0.0), side / 2}) {
@@ -160,7 +164,7 @@ TEST(MediumGrid, MovingFleetRebuildsWhenSlackExceedsThreshold) {
   EXPECT_GE(observation.counters.total(obs::Counter::kMediumGridRebuilds), 5u);
 
   // And the differential contract still holds across the whole horizon.
-  const Medium brute(traces, {.brute_force = true});
+  const Medium brute(traces, {.grid_min_nodes = kBruteScan});
   for (double t = 0.0; t <= 60.0; t += 7.5) {
     expect_equal_queries(medium, brute, 150.0, t);
   }
@@ -170,7 +174,7 @@ TEST(MediumGrid, TimePastTraceDurationClampsIdentically) {
   util::Xoshiro256 rng(9);
   const auto traces = random_fleet(rng, 40, 10.0, 300.0, 15.0);
   const Medium grid(traces, {.grid_min_nodes = 0});
-  const Medium brute(traces, {.brute_force = true});
+  const Medium brute(traces, {.grid_min_nodes = kBruteScan});
   // Positions clamp at duration; queries far past it must still agree
   // (and must not grow the conservative radius without bound).
   for (const double t : {10.0, 11.0, 50.0, 1000.0}) {
@@ -183,7 +187,7 @@ TEST(MediumGrid, BruteForceConfigBypassesTheIndex) {
   const auto traces = random_fleet(rng, 30, 10.0, 300.0, 10.0);
   obs::RunObservation observation;
   const obs::Probe probe(&observation);
-  Medium medium(traces, {.brute_force = true});
+  Medium medium(traces, {.grid_min_nodes = kBruteScan});
   medium.set_probe(&probe);
   std::vector<NodeId> out;
   medium.receivers(0, 100.0, 0.0, out);
@@ -244,7 +248,7 @@ TEST(MediumGrid, GridExaminesFarFewerCandidatesOnDenseFleets) {
   const obs::Probe grid_probe(&grid_obs);
   const obs::Probe brute_probe(&brute_obs);
   Medium grid(traces, {.grid_min_nodes = 0});
-  Medium brute(traces, {.brute_force = true});
+  Medium brute(traces, {.grid_min_nodes = kBruteScan});
   grid.set_probe(&grid_probe);
   brute.set_probe(&brute_probe);
   std::vector<NodeId> out;
@@ -287,7 +291,7 @@ TEST(MediumGrid, ZeroRangeSenderNeverTouchesTheIndex) {
   // Interleaved degenerate queries neither rebuild nor diverge.
   medium.receivers(2, 0.0, 0.1, out);
   EXPECT_EQ(observation.counters.total(obs::Counter::kMediumGridRebuilds), 1u);
-  const Medium brute(traces, {.brute_force = true});
+  const Medium brute(traces, {.grid_min_nodes = kBruteScan});
   expect_equal_queries(medium, brute, 0.0, 0.2);
   expect_equal_queries(medium, brute, 150.0, 0.2);
 }
@@ -310,7 +314,7 @@ TEST(MediumGrid, LargerRadiusRatchetsTheIndexInsteadOfScanningTinyCells) {
   EXPECT_EQ(observation.counters.total(obs::Counter::kMediumGridRebuilds), 2u);
   medium.receivers(2, 80.0, 0.0, out);  // served by the 200-unit build
   EXPECT_EQ(observation.counters.total(obs::Counter::kMediumGridRebuilds), 2u);
-  const Medium brute(traces, {.brute_force = true});
+  const Medium brute(traces, {.grid_min_nodes = kBruteScan});
   for (const double r : {30.0, 80.0, 200.0}) {
     expect_equal_queries(medium, brute, r, 0.0);
   }
@@ -320,7 +324,7 @@ TEST(MediumGrid, SingleNodeAndEmptyRangeEdgeCases) {
   std::vector<Trace> traces;
   traces.push_back(Trace({Leg{0.0, {5.0, 5.0}, {1.0, 0.0}}}, 10.0));
   const Medium grid(traces, {.grid_min_nodes = 0});
-  const Medium brute(traces, {.brute_force = true});
+  const Medium brute(traces, {.grid_min_nodes = kBruteScan});
   std::vector<NodeId> out{99};
   grid.receivers(0, 100.0, 3.0, out);
   EXPECT_TRUE(out.empty());

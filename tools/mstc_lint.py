@@ -27,6 +27,13 @@ those invariants (see docs/DEVELOPMENT.md):
                         depend on sim-time only; machine facts flow
                         through those two functions so profiling and
                         resource ledgers stay observability concerns.
+  env-read              environment reads (getenv, util::env*) in library
+                        code outside src/runner/config.cpp,
+                        src/util/thread_pool.cpp and src/util/options.*.
+                        Every execution setting travels in a config
+                        struct; front ends fold MSTC_* variables in
+                        through runner::apply_env_overrides, so a run
+                        never reads the environment behind its config.
   all-pairs-scan        nested index loops touching fleet positions /
                         controllers arrays in library code. O(n^2) scans
                         over the fleet belong behind graph::SpatialGrid
@@ -89,6 +96,12 @@ RULES = {
         "must depend on sim-time only; use obs::wall_now_ns() / "
         "obs::ScopedTimer for timing and util::peak_rss_bytes() for RSS"
     ),
+    "env-read": (
+        "environment read in library code outside src/runner/config.cpp, "
+        "src/util/thread_pool.cpp and src/util/options.*: carry the "
+        "setting in a config struct and fold MSTC_* variables in through "
+        "runner::apply_env_overrides"
+    ),
     "all-pairs-scan": (
         "nested index loops over fleet positions/controllers: O(n^2) "
         "scans belong behind graph::SpatialGrid candidate sets "
@@ -122,6 +135,11 @@ IOSTREAM_RE = re.compile(r"#\s*include\s*<iostream>")
 WALL_CLOCK_RE = re.compile(
     r"(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now\s*\(|"
     r"\bclock_gettime\s*\(|\bgettimeofday\s*\(|\bgetrusage\s*\("
+)
+
+ENV_READ_RE = re.compile(
+    r"\b(?:secure_)?getenv\s*\(|\butil\s*::\s*env\w*\s*\(|"
+    r"(?<![:\w])env_(?:or|flag|list)\s*\("
 )
 
 # Classic index-based for (two semicolons); range-fors have none and are
@@ -224,6 +242,16 @@ def is_clock_unit(path: Path) -> bool:
         path.name == "rusage.cpp" and "util" in path.parts)
 
 
+def is_env_unit(path: Path) -> bool:
+    """The TUs allowed to read the environment: the env helpers themselves
+    (src/util/options.*), the scenario override layer
+    (src/runner/config.cpp) and the process-wide pool's MSTC_THREADS sizing
+    (src/util/thread_pool.cpp)."""
+    if "util" in path.parts:
+        return path.stem == "options" or path.name == "thread_pool.cpp"
+    return path.name == "config.cpp" and "runner" in path.parts
+
+
 def is_spatial_index_unit(path: Path) -> bool:
     """The spatial grid is the sanctioned replacement for all-pairs scans;
     its own cell-walk loops are exempt from the all-pairs rule."""
@@ -259,6 +287,10 @@ def lint_file(path: Path) -> list[Finding]:
         if (is_library_code(path) and not is_clock_unit(path)
                 and WALL_CLOCK_RE.search(line)):
             report(index, "wall-clock")
+
+        if (is_library_code(path) and not is_env_unit(path)
+                and ENV_READ_RE.search(line)):
+            report(index, "env-read")
 
         # all-pairs-scan: an index for-loop nested directly inside another
         # (the enclosing line must leave its block open, i.e. end with '{',

@@ -93,7 +93,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  runner::ScenarioConfig cfg = runner::apply_env_overrides({});
+  runner::ScenarioConfig cfg;
+  try {
+    cfg = runner::apply_env_overrides({});
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  }
   cfg.protocol = args.get("protocol", std::string("RNG"));
   cfg.average_speed = args.get("speed", 10.0);
   cfg.mobility_model = args.get("mobility", std::string("waypoint"));

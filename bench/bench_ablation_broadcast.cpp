@@ -11,7 +11,7 @@
 #include "mobility/models.hpp"
 #include "topology/builder.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const auto speeds = bench::speed_axis();
   const std::size_t repeats = runner::sweep_repeats(3);
@@ -63,4 +63,6 @@ int main() {
   }
   bench::emit(table, "ablation_broadcast");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

@@ -7,7 +7,7 @@
 // connectivity across the mobility axis.
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   using core::ConsistencyMode;
   const std::vector<double> speeds =
@@ -46,4 +46,6 @@ int main() {
   }
   bench::emit(table, "ablation_consistency");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

@@ -4,7 +4,7 @@
 // densifies.
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const std::vector<double> counts =
       util::env_list("MSTC_DENSITY", {50, 100, 150, 200});
@@ -40,4 +40,6 @@ int main() {
   }
   bench::emit(table, "ablation_density");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

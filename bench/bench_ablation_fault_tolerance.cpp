@@ -8,7 +8,7 @@
 // the 1-redundant protocol: redundancy helps, management wins.
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const auto speeds = bench::speed_axis();
   const std::size_t repeats = runner::sweep_repeats();
@@ -50,4 +50,6 @@ int main() {
   }
   bench::emit(table, "ablation_fault_tolerance");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

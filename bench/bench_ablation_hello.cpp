@@ -5,7 +5,7 @@
 // view-synchronized curve.
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const std::vector<double> intervals =
       util::env_list("MSTC_HELLO_INTERVALS", {0.25, 0.5, 1.0, 2.0});
@@ -40,4 +40,6 @@ int main() {
   }
   bench::emit(table, "ablation_hello");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

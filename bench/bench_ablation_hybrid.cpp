@@ -11,7 +11,7 @@
 #include "routing/epidemic.hpp"
 #include "util/prng.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const std::vector<double> ranges =
       util::env_list("MSTC_HYBRID_RANGES", {100.0, 150.0, 200.0, 250.0});
@@ -65,4 +65,6 @@ int main() {
   }
   bench::emit(table, "ablation_hybrid");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

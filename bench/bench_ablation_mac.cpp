@@ -8,7 +8,7 @@
 // qualitative conclusion.
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const auto speeds = bench::speed_axis();
   const std::size_t repeats = runner::sweep_repeats();
@@ -40,4 +40,6 @@ int main() {
   }
   bench::emit(table, "ablation_mac");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

@@ -11,7 +11,7 @@
 #include "topology/protocol.hpp"
 #include "util/prng.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const std::size_t trials = static_cast<std::size_t>(
       util::env_or("MSTC_QUALITY_TRIALS", std::int64_t{10}));
@@ -64,4 +64,6 @@ int main() {
   }
   bench::emit(table, "ablation_quality");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

@@ -10,7 +10,7 @@
 #include "routing/greedy.hpp"
 #include "topology/protocol.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const auto speeds = bench::speed_axis();
   const auto buffers = util::env_list("MSTC_BUFFERS", {0.0, 10.0, 100.0});
@@ -81,4 +81,6 @@ int main() {
   }
   bench::emit(table, "ablation_routing");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

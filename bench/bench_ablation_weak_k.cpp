@@ -5,7 +5,7 @@
 // control stops reducing the range (degree grows toward the original 18).
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const std::vector<double> ks = util::env_list("MSTC_WEAK_K", {1, 2, 3, 4});
   const std::vector<double> speeds =
@@ -43,4 +43,6 @@ int main() {
   }
   bench::emit(table, "ablation_weak_k");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

@@ -5,7 +5,7 @@
 // reaches ~100 % even at 160 m/s.
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const auto speeds = bench::speed_axis();
   const auto buffers = util::env_list("MSTC_BUFFERS", {1.0, 10.0, 100.0});
@@ -44,4 +44,6 @@ int main() {
   }
   bench::emit(table, "fig10");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

@@ -4,7 +4,7 @@
 // RNG (~50 % at 1 m/s), SPT-4 (~40 %), and MST worst (~10 % even at 1 m/s).
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const auto speeds = bench::speed_axis();
   const std::size_t repeats = runner::sweep_repeats();
@@ -32,4 +32,6 @@ int main() {
   }
   bench::emit(table, "fig6");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

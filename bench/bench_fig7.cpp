@@ -5,7 +5,7 @@
 // 100 m; MST fails even with 100 m.
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const auto speeds = bench::speed_axis();
   const auto buffers = bench::buffer_axis();
@@ -37,4 +37,6 @@ int main() {
   }
   bench::emit(table, "fig7");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

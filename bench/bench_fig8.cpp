@@ -5,7 +5,7 @@
 // physical-neighbor counts that tolerate moderate mobility are ~3.8-5.4.
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const auto buffers =
       util::env_list("MSTC_BUFFERS", {0.0, 1.0, 10.0, 30.0, 100.0});
@@ -36,4 +36,6 @@ int main() {
   }
   bench::emit(table, "fig8");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

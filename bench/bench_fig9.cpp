@@ -5,7 +5,7 @@
 // just 1 m.
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const auto speeds = bench::speed_axis();
   const auto buffers = util::env_list("MSTC_BUFFERS", {1.0, 10.0, 100.0});
@@ -45,4 +45,6 @@ int main() {
   }
   bench::emit(table, "fig9");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

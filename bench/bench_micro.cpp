@@ -53,6 +53,65 @@ BENCHMARK_CAPTURE(BM_ProtocolSelect, spt4, "SPT-4")->Arg(19)->Arg(28)->Arg(40);
 BENCHMARK_CAPTURE(BM_ProtocolSelect, yao, "Yao")->Arg(19)->Arg(28)->Arg(40);
 BENCHMARK_CAPTURE(BM_ProtocolSelect, cbtc, "CBTC")->Arg(19)->Arg(28)->Arg(40);
 
+constexpr std::size_t kRotation = 100;
+
+// Selection over kRotation distinct neighbourhoods of state.range(0)
+// neighbours, cycled. BM_ProtocolSelect replays one view, which trains the
+// branch predictor on it; a run never sees the same view twice in a row.
+void BM_RotatingSelect(benchmark::State& state, const char* name) {
+  const auto suite = topology::make_protocol(name);
+  const std::size_t degree = static_cast<std::size_t>(state.range(0));
+  std::vector<topology::ViewGraph> views;
+  views.reserve(kRotation);
+  for (std::size_t k = 0; k < kRotation; ++k) {
+    const auto positions = neighborhood(degree + 1, 2000 + k);
+    std::vector<topology::NodeId> ids(positions.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+    views.push_back(topology::make_consistent_view(positions, ids, 0, kRange,
+                                                   *suite.cost));
+  }
+  std::vector<std::size_t> chosen;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    suite.protocol->select(views[next], chosen);
+    benchmark::DoNotOptimize(chosen.data());
+    next = next + 1 == views.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK_CAPTURE(BM_RotatingSelect, rng, "RNG")->Arg(28);
+BENCHMARK_CAPTURE(BM_RotatingSelect, mst, "MST")->Arg(28);
+BENCHMARK_CAPTURE(BM_RotatingSelect, spt2, "SPT-2")->Arg(28);
+BENCHMARK_CAPTURE(BM_RotatingSelect, spt4, "SPT-4")->Arg(28);
+
+// The production point-view assembly (latest / viewsync): build_latest_view
+// from kRotation filled stores of state.range(0) neighbours, cycled, into
+// one reused scratch and view, under distance (RNG, MST) and energy (SPT)
+// costs.
+void BM_LatestViewAssembly(benchmark::State& state, const char* name) {
+  const auto suite = topology::make_protocol(name);
+  const std::size_t degree = static_cast<std::size_t>(state.range(0));
+  std::vector<core::LocalViewStore> stores;
+  stores.reserve(kRotation);
+  for (std::size_t k = 0; k < kRotation; ++k) {
+    const auto positions = neighborhood(degree + 1, 3000 + k);
+    stores.emplace_back(0, 1, 1e9);
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      stores.back().record({i, {positions[i], 1, 0.0}});
+    }
+  }
+  core::ViewScratch scratch;
+  topology::ViewGraph view;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    core::build_latest_view(stores[next], kRange, *suite.cost, scratch, view);
+    benchmark::DoNotOptimize(view);
+    next = next + 1 == stores.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK_CAPTURE(BM_LatestViewAssembly, distance, "MST")->Arg(28);
+BENCHMARK_CAPTURE(BM_LatestViewAssembly, energy2, "SPT-2")->Arg(28);
+BENCHMARK_CAPTURE(BM_LatestViewAssembly, energy4, "SPT-4")->Arg(28);
+
 void BM_ConsistentViewAssembly(benchmark::State& state) {
   const auto positions =
       neighborhood(static_cast<std::size_t>(state.range(0)), 7);

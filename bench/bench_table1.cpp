@@ -3,7 +3,7 @@
 // 2.45, SPT-2 100 m / 3.46 — under low mobility, no enhancements).
 #include "common.hpp"
 
-int main() {
+int main() try {
   using namespace mstc;
   const std::size_t repeats = runner::sweep_repeats();
   bench::banner("Table 1: baseline transmission range and node degree",
@@ -37,4 +37,6 @@ int main() {
   }
   bench::emit(table, "table1");
   return 0;
+} catch (const std::exception& error) {
+  return mstc::bench::report_error(error);
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,6 +23,14 @@
 #include "util/thread_pool.hpp"
 
 namespace mstc::bench {
+
+/// Reports an error that escaped a bench's main (a rejected MSTC_* count,
+/// say) as the CLI does: "error: ..." on stderr and exit status 2. Every
+/// bench main is a function-try-block ending in this handler.
+inline int report_error(const std::exception& error) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
+}
 
 /// The paper's baseline lineup (Table 1 / Figs. 6-10 order).
 inline const std::vector<std::string> kPaperProtocols = {"MST", "RNG", "SPT-4",

@@ -7,12 +7,13 @@
 //
 //   ./adaptive_buffer [protocol]
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mstc;
   const std::string protocol = argc > 1 ? argv[1] : "RNG";
   const std::size_t repeats = runner::sweep_repeats(3);
@@ -47,4 +48,8 @@ int main(int argc, char** argv) {
       "adaptive buffer tracks the bound and holds connectivity, paying with\n"
       "a larger transmission range (more energy, less spatial reuse).\n");
   return 0;
+} catch (const std::exception& error) {
+  // A rejected MSTC_* setting (runner::apply_env_overrides, sweep_repeats).
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
 }

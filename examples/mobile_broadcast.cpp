@@ -9,12 +9,13 @@
 //   e.g. ./mobile_broadcast RNG 40
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "runner/scenario.hpp"
 #include "runner/sweep.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mstc;
   const std::string protocol = argc > 1 ? argv[1] : "RNG";
   const double speed = argc > 2 ? std::strtod(argv[2], nullptr) : 40.0;
@@ -68,4 +69,8 @@ int main(int argc, char** argv) {
       "decisions, and physical neighbors add redundancy — the paper's three\n"
       "mechanisms (Sections 4.1-4.3).\n");
   return 0;
+} catch (const std::exception& error) {
+  // A rejected MSTC_* setting (runner::apply_env_overrides, sweep_repeats).
+  std::fprintf(stderr, "error: %s\n", error.what());
+  return 2;
 }

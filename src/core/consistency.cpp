@@ -9,17 +9,24 @@ namespace mstc::core {
 
 namespace {
 
-/// Conservative squared-distance rejection threshold for the pre-filter
-/// below. fl(dx*dx + dy*dy) carries at most ~3 ulp (~7e-16) relative error
-/// and std::hypot at most a few ulps, so the 1e-12 relative margin exceeds
-/// the combined rounding error by three orders of magnitude: any pair with
-/// fl(d^2) > normal_range^2 * (1 + 1e-12) certainly has
-/// hypot(dx, dy) > normal_range, i.e. the exact predicate below would have
-/// rejected it too (proof sketch in docs/PERFORMANCE.md). Pairs inside the
-/// margin fall through to the exact check, so results are byte-identical.
-constexpr double kRejectMargin = 1.0 + 1e-12;
+/// Starts a point-view build: clears the scratch and records the owner.
+void begin_point_view(NodeId owner, geom::Vec2 position,
+                      ViewScratch& scratch) {
+  scratch.ids.clear();
+  scratch.point.xs.clear();
+  scratch.point.ys.clear();
+  scratch.ids.push_back(owner);
+  scratch.point.xs.push_back(position.x);
+  scratch.point.ys.push_back(position.y);
+}
 
-/// Assembles a ViewGraph from one chosen position list per view member
+void add_point_member(NodeId id, geom::Vec2 position, ViewScratch& scratch) {
+  scratch.ids.push_back(id);
+  scratch.point.xs.push_back(position.x);
+  scratch.point.ys.push_back(position.y);
+}
+
+/// Assembles an interval ViewGraph from one position list per view member
 /// (owner first). Owner-neighbor links always exist (the neighbor was
 /// heard); neighbor-neighbor links exist only when their viewed distance
 /// can be certified <= normal_range (max over version combinations).
@@ -31,7 +38,7 @@ constexpr double kRejectMargin = 1.0 + 1e-12;
 /// Every id, representative and owner-row link is rewritten, so `out` may
 /// hold any earlier view, of this owner or another (ViewGraph::reset).
 // mstc:hot — runs once per selection refresh over ~density members
-void assemble(
+void assemble_interval(
     NodeId owner, std::span<const NodeId> ids,
     std::span<const std::span<const topology::VersionedPosition>> versions,
     double normal_range, const topology::CostModel& cost,
@@ -43,31 +50,12 @@ void assemble(
     // Representative: the newest stored position (front).
     out.set_representative(i, versions[i].front().position);
   }
-  const double reject_sq = normal_range * normal_range * kRejectMargin;
+  const double reject_sq =
+      normal_range * normal_range * topology::kRangeRejectMargin;
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const bool single_i = versions[i].size() == 1;
     for (std::size_t j = i + 1; j < ids.size(); ++j) {
-      if (single_i && versions[j].size() == 1) {
-        // Point-view fast path (latest / versioned views): one version per
-        // member means d_min == d_max, so the distance and the cost-model
-        // call are each computed once — bit-identical to the general
-        // loop, which would evaluate them twice on equal inputs.
-        const geom::Vec2 a = versions[i].front().position;
-        const geom::Vec2 b = versions[j].front().position;
-        // Squared-distance pre-filter: skips the libm hypot for the
-        // ~40% of neighbor-neighbor pairs that are certainly out of
-        // range (see kRejectMargin). Never applied to the owner row —
-        // owner-neighbor links exist regardless of distance.
-        if (i != 0 && geom::distance_sq(a, b) > reject_sq) continue;
-        const double d = geom::distance(a, b);
-        if (i != 0 && d > normal_range) continue;
-        const double c = cost.cost(d);
-        out.set_link(i, j, d, d, c, c);
-        continue;
-      }
-      // Interval views (weak consistency): pre-filter on the cheap
-      // squared distances first; only combinations that might be in
-      // range pay for the exact hypot sweep.
+      // Pre-filter on the cheap squared distances first; only combinations
+      // that might be in range pay for the exact hypot sweep.
       if (i != 0) {
         double max_sq = 0.0;
         for (const auto& a : versions[i]) {
@@ -87,10 +75,13 @@ void assemble(
           d_max = std::max(d_max, d);
         }
       }
-      // Owner-neighbor links exist by virtue of the received Hello;
-      // neighbor-neighbor links must certainly be within range.
-      if (i != 0 && d_max > normal_range) continue;
-      out.set_link(i, j, d_min, d_max, cost.cost(d_min), cost.cost(d_max));
+      if (i == 0) {
+        // Owner-neighbor links exist by virtue of the received Hello.
+        out.set_owner_link(j, d_max, cost.cost(d_min), cost.cost(d_max));
+      } else if (d_max <= normal_range) {
+        // Neighbor-neighbor links must certainly be within range.
+        out.set_link(i, j, cost.cost(d_min), cost.cost(d_max));
+      }
     }
   }
 }
@@ -126,22 +117,17 @@ ConsistencyMode consistency_mode_from(std::string_view name) {
 void build_latest_view(const LocalViewStore& store, double normal_range,
                        const topology::CostModel& cost, ViewScratch& scratch,
                        topology::ViewGraph& out) {
-  scratch.ids.clear();
-  scratch.versions.clear();
   const auto own = store.records(store.owner());
   assert(!own.empty() && "owner must have advertised at least once");
-  scratch.ids.push_back(store.owner());
-  scratch.versions.push_back(own.first(1));  // newest record only
+  begin_point_view(store.owner(), own.front().position, scratch);  // newest
   // One pass over the store: entries() is already ascending by sender, the
   // canonical neighbor order, so no per-neighbor lookup is needed.
   for (const LocalViewStore::Entry& entry : store.entries()) {
     if (entry.sender == store.owner() || entry.history.empty()) continue;
-    scratch.ids.push_back(entry.sender);
-    scratch.versions.push_back(
-        std::span<const topology::VersionedPosition>(entry.history.data(), 1));
+    add_point_member(entry.sender, entry.history.front().position, scratch);
   }
-  assemble(store.owner(), scratch.ids, scratch.versions, normal_range, cost,
-           out);
+  topology::assemble_point_view(scratch.ids, normal_range, cost,
+                                scratch.point, out);
 }
 
 topology::ViewGraph build_latest_view(const LocalViewStore& store,
@@ -159,25 +145,20 @@ bool build_versioned_view(const LocalViewStore& store, std::uint64_t version,
                           ViewScratch& scratch, topology::ViewGraph& out) {
   const auto own = store.record_at(store.owner(), version);
   if (own.empty()) return false;
-  scratch.ids.clear();
-  scratch.versions.clear();
-  scratch.ids.push_back(store.owner());
-  scratch.versions.push_back(own);
+  begin_point_view(store.owner(), own.front().position, scratch);
   // One pass over the store (ascending by sender); members are the entries
   // that pin the requested version.
   for (const LocalViewStore::Entry& entry : store.entries()) {
     if (entry.sender == store.owner()) continue;
     for (const auto& record : entry.history) {
       if (record.version == version) {
-        scratch.ids.push_back(entry.sender);
-        scratch.versions.push_back(
-            std::span<const topology::VersionedPosition>(&record, 1));
+        add_point_member(entry.sender, record.position, scratch);
         break;
       }
     }
   }
-  assemble(store.owner(), scratch.ids, scratch.versions, normal_range, cost,
-           out);
+  topology::assemble_point_view(scratch.ids, normal_range, cost,
+                                scratch.point, out);
   return true;
 }
 
@@ -210,8 +191,8 @@ void build_weak_view(const LocalViewStore& store, double normal_range,
     scratch.versions.push_back(std::span<const topology::VersionedPosition>(
         entry.history.data(), entry.history.size()));
   }
-  assemble(store.owner(), scratch.ids, scratch.versions, normal_range, cost,
-           out);
+  assemble_interval(store.owner(), scratch.ids, scratch.versions,
+                    normal_range, cost, out);
 }
 
 topology::ViewGraph build_weak_view(const LocalViewStore& store,

@@ -33,12 +33,15 @@ namespace mstc::core {
 
 enum class ConsistencyMode { kLatest, kViewSync, kProactive, kReactive, kWeak };
 
-/// Reusable buffers for the out-param view builders below. The spans
-/// borrow the store's internal record vectors, so a ViewScratch is only
-/// meaningful during one build; after the warmup neighborhood has been
-/// seen, rebuilding a view through the same scratch allocates nothing.
+/// Reusable buffers for the out-param view builders below: the member ids
+/// (owner first), their positions in SoA form for point views, and, for
+/// interval views, spans that borrow the store's internal record vectors —
+/// so a ViewScratch is only meaningful during one build. After the warmup
+/// neighborhood has been seen, rebuilding a view through the same scratch
+/// allocates nothing.
 struct ViewScratch {
   std::vector<NodeId> ids;
+  topology::PointScratch point;
   std::vector<std::span<const topology::VersionedPosition>> versions;
 };
 

@@ -24,9 +24,9 @@ void fold_position(const topology::VersionedPosition& record,
 // only for one refresh, so every controller a thread drives shares that
 // thread's workspace, kept hot in cache by the previous refresh. Sharing is
 // sound because a refresh is not re-entrant, each one rebuilds the whole
-// view (ViewGraph::reset leaves only stale entries that has_link guards,
-// whichever owner wrote them), and in both the serial and the sharded
-// kernel one thread drives a given controller at a time.
+// view (ViewGraph::reset clears every link and the assembler rewrites what
+// else a protocol reads, whichever owner wrote it), and in both the serial
+// and the sharded kernel one thread drives a given controller at a time.
 struct ViewWorkspace {
   ViewScratch scratch;
   topology::ViewGraph view;
@@ -263,8 +263,8 @@ void NodeController::apply_selection(const topology::ViewGraph& view,
     // relative pad rounds the power *up* so the farthest neighbor is never
     // lost to sqrt round-off when ranges are compared against squared
     // distances.
-    actual_range_ =
-        std::max(actual_range_, view.distance_max(0, index) * (1.0 + 1e-9));
+    actual_range_ = std::max(actual_range_,
+                             view.owner_distance_max(index) * (1.0 + 1e-9));
   }
   std::sort(logical_.begin(), logical_.end());
 

@@ -48,7 +48,7 @@ BuiltTopology build_topology(std::span<const geom::Vec2> positions,
     for (std::size_t index : chosen) {
       neighbors.push_back(view.id(index));
       result.range[u] =
-          std::max(result.range[u], view.distance_max(0, index));
+          std::max(result.range[u], view.owner_distance_max(index));
     }
     std::sort(neighbors.begin(), neighbors.end());
   }

@@ -79,10 +79,15 @@ class LmstProtocol final : public Protocol {
   void select(const ViewGraph& view,
               std::vector<std::size_t>& out) const override;
 
+  /// A CostKey packed into one integer of the same order (lmst.cpp).
+  __extension__ using Key = unsigned __int128;
+
  private:
-  // Per-instance scratch (see Protocol::select's threading contract).
-  mutable std::vector<CostKey> bottleneck_;
-  mutable std::vector<char> done_;
+  // Per-instance scratch (see Protocol::select's threading contract):
+  // view-local id ranks, bottleneck labels and the settled mask.
+  mutable std::vector<std::uint64_t> rank_;
+  mutable std::vector<Key> label_;
+  mutable std::vector<Key> closed_;
 };
 
 /// Condition 2 for every owner link at once: one Dijkstra from the owner
@@ -100,7 +105,7 @@ class ShortestPathPass {
 
  private:
   std::vector<double> dist_;
-  std::vector<char> done_;
+  std::vector<double> closed_;  // 0 = open, +inf = settled or off-region
 };
 
 /// Minimum-energy / shortest-path-tree protocol (condition 2): remove

@@ -27,7 +27,7 @@ void SearchRegionSptProtocol::select(const ViewGraph& view,
 
   double max_distance = 0.0;
   for (std::size_t v = 1; v < n; ++v) {
-    max_distance = std::max(max_distance, view.distance_max(0, v));
+    max_distance = std::max(max_distance, view.owner_distance_max(v));
   }
 
   // Grow the search radius until every outside neighbor has a certainly
@@ -36,7 +36,7 @@ void SearchRegionSptProtocol::select(const ViewGraph& view,
   inside_.assign(n, 0);
   for (int growth = 0; growth < 16; ++growth) {
     for (std::size_t v = 1; v < n; ++v) {
-      inside_[v] = view.distance_max(0, v) <= radius;
+      inside_[v] = view.owner_distance_max(v) <= radius;
     }
     bool covered = true;
     for (std::size_t v = 1; v < n && covered; ++v) {

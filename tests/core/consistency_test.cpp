@@ -34,8 +34,8 @@ TEST(BuildLatestView, UsesNewestRecordPerNeighbor) {
   store.record(hello(1, 7.0, 0.0, 2, 2.0));  // newest wins
   const auto view = build_latest_view(store, 250.0, cost);
   ASSERT_EQ(view.neighbor_count(), 1u);
-  EXPECT_DOUBLE_EQ(view.distance_min(0, 1), 7.0);
-  EXPECT_DOUBLE_EQ(view.distance_max(0, 1), 7.0);
+  EXPECT_DOUBLE_EQ(view.cost_min(0, 1).value, 7.0);  // DistanceCost: c = d
+  EXPECT_DOUBLE_EQ(view.owner_distance_max(1), 7.0);
   EXPECT_EQ(view.representative(1), (geom::Vec2{7.0, 0.0}));
 }
 
@@ -76,7 +76,7 @@ TEST(BuildVersionedView, PinsExactVersion) {
   ASSERT_TRUE(view.has_value());
   ASSERT_EQ(view->neighbor_count(), 1u) << "node 2 lacks version 1";
   EXPECT_EQ(view->id(1), 1u);
-  EXPECT_DOUBLE_EQ(view->distance_min(0, 1), 5.0);
+  EXPECT_DOUBLE_EQ(view->cost_min(0, 1).value, 5.0);  // DistanceCost: c = d
 }
 
 TEST(BuildVersionedView, NulloptWithoutOwnVersion) {
@@ -127,8 +127,7 @@ TEST(BuildWeakView, IntervalSpansStoredVersions) {
   store.record(hello(1, 6.0, 0.0, 2, 2.0));
   const auto view = build_weak_view(store, 250.0, cost);
   ASSERT_EQ(view.neighbor_count(), 1u);
-  EXPECT_DOUBLE_EQ(view.distance_min(0, 1), 4.0);
-  EXPECT_DOUBLE_EQ(view.distance_max(0, 1), 6.0);
+  EXPECT_DOUBLE_EQ(view.owner_distance_max(1), 6.0);
   EXPECT_DOUBLE_EQ(view.cost_min(0, 1).value, 4.0);
   EXPECT_DOUBLE_EQ(view.cost_max(0, 1).value, 6.0);
   // Representative is the newest position.
@@ -147,8 +146,9 @@ TEST(BuildWeakView, IntervalOverBothEndpointHistories) {
   ASSERT_EQ(view.neighbor_count(), 2u);
   // Combinations of node 1 {10, 20} x node 2 {30, 15}: distances
   // |10-30|=20, |10-15|=5, |20-30|=10, |20-15|=5 -> [5, 20].
-  EXPECT_DOUBLE_EQ(view.distance_min(1, 2), 5.0);
-  EXPECT_DOUBLE_EQ(view.distance_max(1, 2), 20.0);
+  // DistanceCost: the cost interval is the distance interval.
+  EXPECT_DOUBLE_EQ(view.cost_min(1, 2).value, 5.0);
+  EXPECT_DOUBLE_EQ(view.cost_max(1, 2).value, 20.0);
 }
 
 // --- Theorem 3: k = ceil(delta/Delta) + 1 stored Hellos preserve weak

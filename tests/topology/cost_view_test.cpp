@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "topology/cost.hpp"
 #include "topology/view_graph.hpp"
 
@@ -70,14 +72,87 @@ TEST(ViewGraph, SetLinkIsSymmetric) {
   ViewGraph view(0, 2);
   view.set_id(1, 10);
   view.set_id(2, 20);
-  view.set_link(0, 1, 3.0, 5.0, 9.0, 25.0);
+  view.set_owner_link(1, 5.0, 9.0, 25.0);
   EXPECT_TRUE(view.has_link(0, 1));
   EXPECT_TRUE(view.has_link(1, 0));
   EXPECT_FALSE(view.has_link(0, 2));
   EXPECT_EQ(view.cost_min(1, 0), CostKey::make(9.0, 0, 10));
   EXPECT_EQ(view.cost_max(0, 1), CostKey::make(25.0, 0, 10));
-  EXPECT_DOUBLE_EQ(view.distance_min(1, 0), 3.0);
-  EXPECT_DOUBLE_EQ(view.distance_max(0, 1), 5.0);
+  EXPECT_DOUBLE_EQ(view.owner_distance_max(1), 5.0);
+  view.set_link(2, 1, 4.0, 4.0);
+  EXPECT_TRUE(view.has_link(1, 2));
+  EXPECT_TRUE(view.has_link(2, 1));
+}
+
+// The contract the dense kernels rest on: a link exists exactly where its
+// cost is finite; every other entry, the diagonal included, is +inf.
+TEST(ViewGraph, LinkExistsExactlyWhereCostIsFinite) {
+  ViewGraph view(5, 3);
+  for (std::size_t i = 0; i < 4; ++i) view.set_id(i, 10 + i);
+  view.set_owner_link(1, 1.0, 1.0, 1.0);
+  view.set_owner_link(3, 2.0, 0.0, 4.0);  // zero cost is a link too
+  view.set_link(1, 2, 3.0, 5.0);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto min_row = view.cost_min_row(i);
+    const auto max_row = view.cost_max_row(i);
+    ASSERT_EQ(min_row.size(), 4u);
+    ASSERT_EQ(max_row.size(), 4u);
+    for (std::size_t j = 0; j < 4; ++j) {
+      SCOPED_TRACE(testing::Message() << "(" << i << ", " << j << ")");
+      EXPECT_EQ(view.has_link(i, j), std::isfinite(view.cost_max(i, j).value));
+      EXPECT_EQ(view.has_link(i, j), std::isfinite(view.cost_min(i, j).value));
+      EXPECT_EQ(min_row[j], view.cost_min(i, j).value);
+      EXPECT_EQ(max_row[j], view.cost_max(i, j).value);
+      if (!view.has_link(i, j)) {
+        EXPECT_EQ(max_row[j], ViewGraph::kNoLink);
+        EXPECT_EQ(min_row[j], ViewGraph::kNoLink);
+      }
+    }
+  }
+  EXPECT_TRUE(view.has_link(0, 3));
+  EXPECT_TRUE(view.has_link(2, 1));
+  EXPECT_FALSE(view.has_link(2, 3));
+  EXPECT_FALSE(view.has_link(0, 2));
+}
+
+TEST(ViewGraph, DiagonalIsAbsent) {
+  ViewGraph view(0, 2);
+  view.set_owner_link(1, 1.0, 1.0, 1.0);
+  view.set_owner_link(2, 1.0, 1.0, 1.0);
+  view.set_link(1, 2, 1.0, 1.0);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(view.has_link(i, i)) << i;
+    EXPECT_EQ(view.cost_min_row(i)[i], ViewGraph::kNoLink) << i;
+    EXPECT_EQ(view.cost_max_row(i)[i], ViewGraph::kNoLink) << i;
+  }
+}
+
+// reset() keeps capacity for reuse but must not keep links: a smaller view
+// assembled into a larger one's storage starts with every pair absent,
+// including the entries the larger view's rows wrote.
+TEST(ViewGraph, ResetAfterLargerViewLeavesNoStaleLink) {
+  ViewGraph view(0, 5);
+  for (std::size_t i = 0; i < 6; ++i) {
+    for (std::size_t j = i + 1; j < 6; ++j) {
+      if (i == 0) {
+        view.set_owner_link(j, 1.0, 1.0, 1.0);
+      } else {
+        view.set_link(i, j, 2.0, 2.0);
+      }
+    }
+  }
+  view.reset(9, 2);
+  ASSERT_EQ(view.node_count(), 3u);
+  EXPECT_EQ(view.owner(), 9u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_FALSE(view.has_link(i, j)) << i << "," << j;
+      EXPECT_EQ(view.cost_min_row(i)[j], ViewGraph::kNoLink);
+    }
+  }
+  view.set_owner_link(2, 3.0, 3.0, 3.0);
+  EXPECT_TRUE(view.has_link(2, 0));
+  EXPECT_FALSE(view.has_link(1, 2));
 }
 
 // Costs are stored as values; each read builds the key's tie-break from
@@ -86,9 +161,9 @@ TEST(ViewGraph, CostKeysComeFromViewIds) {
   ViewGraph view(42, 2);
   view.set_id(1, 7);
   view.set_id(2, 19);
-  view.set_link(0, 1, 1.0, 2.0, 1.0, 4.0);
-  view.set_link(2, 1, 3.0, 3.0, 9.0, 9.0);
-  view.set_link(0, 2, 5.0, 6.0, 25.0, 36.0);
+  view.set_owner_link(1, 2.0, 1.0, 4.0);
+  view.set_link(2, 1, 9.0, 9.0);
+  view.set_owner_link(2, 6.0, 25.0, 36.0);
   const auto check = [&](std::size_t i, std::size_t j, double lo, double hi) {
     SCOPED_TRACE(testing::Message() << "link (" << i << ", " << j << ")");
     const CostKey key_lo = CostKey::make(lo, view.id(i), view.id(j));
@@ -124,7 +199,7 @@ TEST(MakeConsistentView, NeighborNeighborLinksIncluded) {
   const DistanceCost cost;
   const ViewGraph view = make_consistent_view(positions, ids, 0, 35.0, cost);
   EXPECT_TRUE(view.has_link(1, 2));
-  EXPECT_DOUBLE_EQ(view.distance_min(1, 2), 20.0);
+  EXPECT_DOUBLE_EQ(view.cost_min(1, 2).value, 20.0);  // DistanceCost: c = d
   EXPECT_EQ(view.cost_min(1, 2), CostKey::make(20.0, 1, 2));
 }
 

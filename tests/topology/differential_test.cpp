@@ -103,20 +103,23 @@ std::vector<std::size_t> oracle_spt(const ViewGraph& view) {
   return out;
 }
 
+// `outside`, when given, receives the number of neighbours left out of the
+// final search region.
 std::vector<std::size_t> oracle_spt_region(const ViewGraph& view,
-                                           double initial_fraction) {
+                                           double initial_fraction,
+                                           std::size_t* outside = nullptr) {
   std::vector<std::size_t> out;
   const std::size_t n = view.node_count();
   if (n <= 1) return out;
   double max_distance = 0.0;
   for (std::size_t v = 1; v < n; ++v) {
-    max_distance = std::max(max_distance, view.distance_max(0, v));
+    max_distance = std::max(max_distance, view.owner_distance_max(v));
   }
   double radius = initial_fraction * max_distance;
   std::vector<char> inside(n, 0);
   for (int growth = 0; growth < 16; ++growth) {
     for (std::size_t v = 1; v < n; ++v) {
-      inside[v] = view.distance_max(0, v) <= radius;
+      inside[v] = view.owner_distance_max(v) <= radius;
     }
     bool covered = true;
     for (std::size_t v = 1; v < n && covered; ++v) {
@@ -131,6 +134,10 @@ std::vector<std::size_t> oracle_spt_region(const ViewGraph& view,
     }
     if (covered || radius >= max_distance) break;
     radius = std::min(2.0 * radius, max_distance);
+  }
+  if (outside != nullptr) {
+    *outside = static_cast<std::size_t>(
+        std::count(inside.begin() + 1, inside.end(), char{0}));
   }
   for (std::size_t v = 1; v < n; ++v) {
     if (!inside[v]) continue;
@@ -266,7 +273,11 @@ ViewGraph interval_view(Layout layout, std::size_t neighbors, double drop,
       if (a != 0 && (d_max > kRange || rng.bernoulli(drop))) {
         continue;
       }
-      view.set_link(a, b, d_min, d_max, cost.cost(d_min), cost.cost(d_max));
+      if (a == 0) {
+        view.set_owner_link(b, d_max, cost.cost(d_min), cost.cost(d_max));
+      } else {
+        view.set_link(a, b, cost.cost(d_min), cost.cost(d_max));
+      }
     }
   }
   return view;
@@ -328,22 +339,33 @@ TEST(TopologyDifferential, SptMatchesPerNeighbourOracle) {
   EXPECT_GT(tally.removed, 0u);
 }
 
+// SPT-R's region enters the one-pass kernel as an additive +inf mask, so
+// the suite must see views whose final region leaves neighbours out (on
+// point and interval views alike), next to views where it covers all.
 TEST(TopologyDifferential, SearchRegionSptMatchesPerNeighbourOracle) {
-  for (const double fraction : {0.05, 0.25}) {
+  for (const double fraction : {0.05, 0.25, 1.0}) {
     const SearchRegionSptProtocol protocol("SPT-R", fraction);
     std::vector<std::size_t> chosen;
     Tally tally;
     std::size_t views = 0;
+    std::size_t views_with_outside = 0;
     for_each_view(1202, [&](const ViewGraph& view) {
       protocol.select(view, chosen);
-      ASSERT_EQ(chosen, oracle_spt_region(view, fraction))
+      std::size_t outside = 0;
+      ASSERT_EQ(chosen, oracle_spt_region(view, fraction, &outside))
           << "fraction " << fraction << ", view " << views << " with "
           << view.neighbor_count() << " neighbours";
       tally.add(view, chosen);
+      views_with_outside += outside > 0 ? 1 : 0;
       ++views;
     });
     EXPECT_GT(tally.kept, 0u) << fraction;
     EXPECT_GT(tally.removed, 0u) << fraction;
+    if (fraction < 1.0) {
+      EXPECT_GT(views_with_outside, views / 20) << fraction;
+    } else {
+      EXPECT_EQ(views_with_outside, 0u);
+    }
   }
 }
 
@@ -378,6 +400,35 @@ TEST(TopologyDifferential, ExactSumTieKeepsTheDirectLink) {
   EXPECT_EQ(protocol.select(tie_view), oracle_spt(tie_view));
   EXPECT_EQ(protocol.select(cheaper_view), (std::vector<std::size_t>{2}));
   EXPECT_EQ(protocol.select(cheaper_view), oracle_spt(cheaper_view));
+  // SPT-R with the whole view as its region decides the same.
+  const SearchRegionSptProtocol region("SPT-R", 1.0);
+  EXPECT_EQ(region.select(tie_view), (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(region.select(tie_view), oracle_spt_region(tie_view, 1.0));
+  EXPECT_EQ(region.select(cheaper_view), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(region.select(cheaper_view), oracle_spt_region(cheaper_view, 1.0));
+}
+
+// An out-of-region relay must witness nothing. Under d^2 costs, with the
+// owner O at the origin, A = (5, 5.5), S = (10, 0) and X = (9.35, 4.43):
+// O-A-S costs 110.5 >= 100 = O-S, but O-A-X-S costs 95.4 < 100. With
+// fraction 0.97 the region radius is 0.97 * |OX| = 10.04, so A and S are
+// inside, X is outside and relayed through A (75.3 < 107.0): the region
+// stops at {A, S} and S must be kept. Plain SPT, which may use X, removes
+// S — so a kernel that let X's distance leak into S's witness test fails.
+TEST(TopologyDifferential, SearchRegionIgnoresOutOfRegionRelays) {
+  const EnergyCost cost(2.0);
+  const std::vector<Vec2> positions{{0, 0}, {5, 5.5}, {10, 0}, {9.35, 4.43}};
+  const std::vector<NodeId> ids{0, 1, 2, 3};
+  const auto view = make_consistent_view(positions, ids, 0, kRange, cost);
+  const SearchRegionSptProtocol region("SPT-R", 0.97);
+  std::size_t outside = 0;
+  EXPECT_EQ(oracle_spt_region(view, 0.97, &outside),
+            (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(outside, 1u);
+  EXPECT_EQ(region.select(view), (std::vector<std::size_t>{1, 2}));
+  const SptProtocol spt("SPT-2");
+  EXPECT_EQ(spt.select(view), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(spt.select(view), oracle_spt(view));
 }
 
 // ---- No heap allocation once warm ---------------------------------------
@@ -437,8 +488,8 @@ core::LocalViewStore filled_store(const std::vector<Vec2>& positions,
   return store;
 }
 
-// Everything a protocol may read: ids, representatives, link flags, and
-// costs and distances wherever a link exists (which covers the owner row).
+// Everything a protocol may read: ids, representatives, every cost entry
+// (+inf where no link), and the owner-row distances.
 void expect_same_view(const ViewGraph& reused, const ViewGraph& fresh) {
   ASSERT_EQ(reused.node_count(), fresh.node_count());
   for (std::size_t i = 0; i < fresh.node_count(); ++i) {
@@ -446,18 +497,18 @@ void expect_same_view(const ViewGraph& reused, const ViewGraph& fresh) {
     ASSERT_EQ(reused.representative(i), fresh.representative(i));
     for (std::size_t j = 0; j < fresh.node_count(); ++j) {
       ASSERT_EQ(reused.has_link(i, j), fresh.has_link(i, j)) << i << "," << j;
-      if (!fresh.has_link(i, j)) continue;
       ASSERT_EQ(reused.cost_min(i, j), fresh.cost_min(i, j));
       ASSERT_EQ(reused.cost_max(i, j), fresh.cost_max(i, j));
-      ASSERT_EQ(reused.distance_min(i, j), fresh.distance_min(i, j));
-      ASSERT_EQ(reused.distance_max(i, j), fresh.distance_max(i, j));
     }
+    if (i == 0) continue;
+    ASSERT_EQ(reused.owner_distance_max(i), fresh.owner_distance_max(i));
   }
 }
 
-// ViewGraph::reset clears only the link flags, so a reused view still holds
-// whatever a larger view of another owner wrote. Assembly must make all of
-// it unreachable: every protocol selects on the reused view exactly what it
+// ViewGraph::reset clears the links but keeps ids, representatives and
+// owner distances, so a reused view still holds whatever a larger view of
+// another owner wrote there. Assembly must rewrite all of it: every
+// protocol selects on the reused view exactly what it
 // selects on a freshly constructed one, for point (latest) and interval
 // (weak) views, growing and shrinking, under distance and energy costs.
 TEST(TopologyDifferential, ReusedViewSelectsLikeAFreshOne) {

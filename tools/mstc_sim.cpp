@@ -77,6 +77,20 @@ void print_progress(const mstc::runner::SweepProgress& progress) {
   std::fflush(stderr);
 }
 
+/// Reads the count option --name. A negative value is a usage error (it
+/// would wrap to a huge std::size_t), reported like the other CLI errors.
+bool read_count(const mstc::util::ArgParser& args, const char* name,
+                std::size_t& out) {
+  const long value = args.get(name, static_cast<long>(out));
+  if (value < 0) {
+    std::fprintf(stderr, "error: --%s must not be negative, got %ld\n", name,
+                 value);
+    return false;
+  }
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
 std::string format_double(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%g", value);
@@ -106,15 +120,19 @@ int main(int argc, char** argv) {
   cfg.buffer_width = args.get("buffer", 0.0);
   cfg.adaptive_buffer = args.get_flag("adaptive-buffer");
   cfg.physical_neighbors = args.get_flag("pn");
-  cfg.history_limit = static_cast<std::size_t>(args.get("history", 0L));
-  cfg.node_count = static_cast<std::size_t>(
-      args.get("nodes", static_cast<long>(cfg.node_count)));
+  std::size_t repeats = 5;
+  std::size_t flight_capacity = 0;
+  if (!read_count(args, "history", cfg.history_limit) ||
+      !read_count(args, "nodes", cfg.node_count) ||
+      !read_count(args, "repeats", repeats) ||
+      !read_count(args, "flight", flight_capacity)) {
+    return 2;
+  }
   cfg.normal_range = args.get("range", cfg.normal_range);
   cfg.duration = args.get("duration", cfg.duration);
   cfg.hello_interval = args.get("hello-interval", cfg.hello_interval);
   cfg.hello_loss = args.get("hello-loss", 0.0);
   cfg.seed = static_cast<std::uint64_t>(args.get("seed", 1L));
-  const auto repeats = static_cast<std::size_t>(args.get("repeats", 5L));
 
   const std::string trace_path = args.get("trace", std::string());
   const std::string trace_jsonl_path = args.get("trace-jsonl", std::string());
@@ -123,8 +141,6 @@ int main(int argc, char** argv) {
       "metrics-stream", util::env_or("MSTC_METRICS_STREAM", std::string()));
   const std::string prom_path = args.get(
       "metrics-prom", util::env_or("MSTC_METRICS_PROM", std::string()));
-  const auto flight_capacity =
-      static_cast<std::size_t>(args.get("flight", 0L));
   const std::string postmortem_path = args.get("postmortem", std::string());
   const double soft_deadline = args.get("soft-deadline", 0.0);
   const bool progress = args.get_flag("progress");
